@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import constraints as _constraints
 from .graphs import MEASURE_MODES, Graph, GraphError, total_weight
 from .taint import seed_set
@@ -160,6 +162,15 @@ def gated_cost(
     return Score(False, None, soiled, n, mu)
 
 
+@dataclass
+class Coverage:
+    """Per-node seed counts of one subset: ``counts[u]`` is how many seeds
+    of ``mask`` reach node u."""
+
+    mask: int
+    counts: np.ndarray
+
+
 class SubsetEvaluator:
     """Scores seed subsets of one graph under one CostSpec, with caching.
 
@@ -167,6 +178,8 @@ class SubsetEvaluator:
     node i), which keeps the optimizers' inner loops cheap; reachability
     closures are precomputed per node. ``evaluate`` accepts plain node-id
     iterables and matches propagate + gated_cost done by hand.
+    ``evaluate_flip`` scores a one-node change of a subset from per-node
+    ``coverage`` counts, sharing the cache and scoring tail.
     """
 
     def __init__(self, graph: Graph, spec: CostSpec, cache_limit: int = 1 << 18):
@@ -195,6 +208,12 @@ class SubsetEvaluator:
                         stack.append(u)
             reach.append(seen)
         self._reach = reach
+        # Row v holds reach(v) as 0/1 bytes; bit u of a little-endian
+        # integer is bit u % 8 of its byte u // 8.
+        width = (self._n_total + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in reach), dtype=np.uint8)
+        bits = np.unpackbits(packed.reshape(self._n_total, width), axis=1, bitorder="little")
+        self._reach_rows = bits[:, : self._n_total]
 
         if spec.mode == "node":
             self._weight = [graph.node_weight(v) for v in self._ids]
@@ -203,6 +222,7 @@ class SubsetEvaluator:
             for s, _, w in graph.edges:
                 out_w[self._index[s]] += w
             self._weight = out_w
+        self._weight_arr = np.array(self._weight, dtype=np.float64)
         self._total = total_weight(graph, spec.mode)
 
     @property
@@ -239,18 +259,56 @@ class SubsetEvaluator:
                 low = c & -c
                 soiled_w += weight[low.bit_length() - 1]
                 c ^= low
-            s = soiled_w / self._total
-            n = mask.bit_count()
-            degrees: Sequence[float] = ()
-            cvals: Sequence[float] = ()
-            if self._gate_evs or self._pen_evs:
-                seeds = self.seeds_of(mask)
-                degrees = [ev.evaluate(self.graph, seeds) for ev, _ in self._gate_evs]
-                cvals = [ev.evaluate(self.graph, seeds) for ev in self._pen_evs]
-            score = gated_cost(s, n, self._n_total, self.spec, degrees, cvals)
-            if len(self._cache) >= self._cache_limit:
-                self._cache.clear()
-            self._cache[mask] = score
+            score = self._score(mask, soiled_w)
+        return score
+
+    def coverage(self, mask: int) -> Coverage:
+        """Per-node seed counts of ``mask``, as ``evaluate_flip`` takes them."""
+        return Coverage(mask, self._reach_rows[list(_bits(mask))].sum(axis=0, dtype=np.int32))
+
+    def evaluate_flip(self, mask: int, v: int, coverage: Coverage) -> Score:
+        """``evaluate_mask(mask ^ (1 << v))``, from the coverage of a nearby subset.
+
+        On a cache miss, ``coverage`` is first moved to ``mask`` by adding or
+        removing the reach rows of the seeds in which the two differ, so a
+        walk that flips one node at a time pays only for the moves it made.
+        The closure then takes O(N) array operations rather than one reach
+        set per seed, and the score is the same, bit for bit.
+        """
+        flipped = mask ^ (1 << v)
+        score = self._cache.get(flipped)
+        if score is None:
+            if flipped == 0 or flipped >> self._n_total:
+                raise ValueError(f"mask {flipped:#x} is not a nonempty subset of the graph's nodes")
+            rows = self._reach_rows
+            counts = coverage.counts
+            for u in _bits(coverage.mask ^ mask):
+                if mask >> u & 1:
+                    counts += rows[u]
+                else:
+                    counts -= rows[u]
+            coverage.mask = mask
+            row = rows[v]
+            covered = counts > row if mask >> v & 1 else np.logical_or(counts, row)
+            # cumsum adds in ascending node order, as evaluate_mask does.
+            soiled_w = float(self._weight_arr[covered].cumsum()[-1])
+            score = self._score(flipped, soiled_w)
+        return score
+
+    def _score(self, mask: int, soiled_w: float) -> Score:
+        """Gates, penalties and cost for a mask whose soiled weight is known; cached."""
+        s = soiled_w / self._total
+        n = mask.bit_count()
+        degrees: Sequence[float] = ()
+        cvals: Sequence[float] = ()
+        if self._gate_evs or self._pen_evs:
+            seeds = self.seeds_of(mask)
+            degrees = [ev.evaluate(self.graph, seeds) for ev, _ in self._gate_evs]
+            cvals = [ev.evaluate(self.graph, seeds) for ev in self._pen_evs]
+        score = gated_cost(s, n, self._n_total, self.spec, degrees, cvals)
+        if len(self._cache) >= self._cache_limit:
+            self._cache.clear()
+        self._cache[mask] = score
         return score
 
 

@@ -1,11 +1,13 @@
 """Weighted directed graphs: validation, file parsing, weak connectivity.
 
-Node ids are plain string tokens. Node and edge weights are strictly
-positive; at most one edge may join an ordered (source, target) pair.
+Node ids are plain string tokens. Node and edge weights are finite and
+strictly positive, and so are their totals; at most one edge may join an
+ordered (source, target) pair.
 Graphs are immutable once built and safe to share across workers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
@@ -36,9 +38,18 @@ def _check_id(node_id) -> str:
 
 def _check_weight(value, what: str) -> float:
     w = float(value)
+    if not math.isfinite(w):
+        raise GraphError(f"non-finite weight {value!r} on {what}")
     if not w > 0:
         raise GraphError(f"non-positive weight {value!r} on {what}")
     return w
+
+
+def _add_to_total(total: float, w: float, what: str) -> float:
+    total += w
+    if not math.isfinite(total):
+        raise GraphError(f"weight {w!r} on {what} makes the weight total non-finite")
+    return total
 
 
 class Graph:
@@ -80,6 +91,8 @@ class Graph:
         self._succ = {v: tuple(ts) for v, ts in succ.items()}
         self._total_node_w = sum(node_w.values())
         self._total_edge_w = sum(edge_w.values())
+        if not (math.isfinite(self._total_node_w) and math.isfinite(self._total_edge_w)):
+            raise GraphError("node or edge weight total is not finite")
         self._hash = None
 
     @property
@@ -216,17 +229,21 @@ def parse_graph(text: str) -> Graph:
             raise GraphParseError(line_no, f"bad weight in {line!r}") from None
 
     node_w: dict[str, float] = {}
+    node_total = 0.0
     for node_id, w, line_no in nodes:
         try:
             _check_id(node_id)
             if node_id in node_w:
                 raise GraphError(f"duplicate node id {node_id!r}")
-            node_w[node_id] = _check_weight(w, f"node {node_id!r}")
+            what = f"node {node_id!r}"
+            node_w[node_id] = _check_weight(w, what)
+            node_total = _add_to_total(node_total, w, what)
         except GraphError as exc:
             raise GraphParseError(line_no, str(exc)) from None
 
     edges: list[tuple[str, str, float]] = []
     seen_pairs: set[tuple[str, str]] = set()
+    edge_total = 0.0
     for src, dst, w, line_no in edge_lines:
         try:
             for endpoint in (src, dst):
@@ -235,7 +252,9 @@ def parse_graph(text: str) -> Graph:
             if (src, dst) in seen_pairs:
                 raise GraphError(f"duplicate edge ({src!r}, {dst!r})")
             seen_pairs.add((src, dst))
-            edges.append((src, dst, _check_weight(w, f"edge ({src!r}, {dst!r})")))
+            what = f"edge ({src!r}, {dst!r})"
+            edges.append((src, dst, _check_weight(w, what)))
+            edge_total = _add_to_total(edge_total, w, what)
         except GraphError as exc:
             raise GraphParseError(line_no, str(exc)) from None
 

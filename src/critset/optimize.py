@@ -1,7 +1,8 @@
 """Maximize a cost spec over nonempty seed subsets.
 
-Three searchers share one evaluation path: exhaustive enumeration (exact,
-capped at 22 nodes), simulated annealing, and a genetic algorithm. The
+Three searchers share one evaluator: exhaustive enumeration (exact,
+capped at 22 nodes), simulated annealing (which scores each one-node flip
+from the current subset's coverage counts), and a genetic algorithm. The
 two randomized searchers are heuristics; the test suite verifies them
 against the exhaustive result instead of assuming global optimality.
 All are deterministic for a fixed rng seed; annealing restarts draw
@@ -10,6 +11,7 @@ does not depend on the worker count.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -107,9 +109,14 @@ def rank_key(candidate: Candidate):
 def _result(evaluator, seen, evaluations, rng_seed, optimizer, top_k) -> SearchResult:
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    candidates = [Candidate(evaluator.seeds_of(m), sc) for m, sc in seen.items()]
-    if not candidates:
+    if not seen:
         raise InfeasibleSearchError("no gate-feasible candidate was found")
+    # Only masks tied with the k-th on (score, size) can need the id
+    # tie-break, so seed sets are built for those and the ones before them.
+    cut = heapq.nsmallest(top_k, ((-sc.value, sc.n) for sc in seen.values()))[-1]
+    candidates = [
+        Candidate(evaluator.seeds_of(m), sc) for m, sc in seen.items() if (-sc.value, sc.n) <= cut
+    ]
     candidates.sort(key=rank_key)
     ranked = tuple(candidates[:top_k])
     return SearchResult(ranked[0], ranked, evaluations, rng_seed, optimizer)
@@ -178,19 +185,21 @@ def _anneal_restart(evaluator, schedule, rng_seed, restart_index):
     current, score, used = _feasible_start(evaluator, rng, n)
     evaluations += used
     current_value = score.value
+    coverage = evaluator.coverage(current)
     seen = {current: score}
     steps = schedule.steps_per_temperature
     temperature = schedule.initial_temperature
     exp = math.exp
-    evaluate = evaluator.evaluate_mask
+    evaluate_flip = evaluator.evaluate_flip
     while temperature >= schedule.minimum_temperature:
         flips = rng.integers(0, n, steps).tolist()
         draws = rng.random(steps).tolist()
         for i in range(steps):
-            neighbor = current ^ (1 << flips[i])
+            v = flips[i]
+            neighbor = current ^ (1 << v)
             if neighbor == 0:
                 continue
-            sc = evaluate(neighbor)
+            sc = evaluate_flip(current, v, coverage)
             evaluations += 1
             if not sc.defined:
                 continue

@@ -1,9 +1,12 @@
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import critset
 from critset.datasets import demo_graph
 
 
@@ -22,12 +25,22 @@ def demo_graph_file(tmp_path):
 
 
 @pytest.fixture(scope="session")
-def run_cli():
+def cli_env():
+    """Environment for `python -m critset` subprocesses: the source root of
+    the package under test leads PYTHONPATH, so they run the same code."""
+    src = str(Path(critset.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+@pytest.fixture(scope="session")
+def run_cli(cli_env):
     def run(*argv, expect=0):
         proc = subprocess.run(
             [sys.executable, "-m", "critset", *map(str, argv)],
             capture_output=True,
             text=True,
+            env=cli_env,
         )
         assert proc.returncode == expect, proc.stderr
         return proc

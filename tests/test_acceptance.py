@@ -266,18 +266,19 @@ def test_criterion_7f_single_critical_node_on_stars(g, beta):
 # --- criterion 8: byte-identical CLI reports across consecutive runs ---------
 
 
-def _run_twice(argv):
+def _run_twice(argv, env):
     def run():
         return subprocess.run(
             [sys.executable, "-m", "critset", *argv],
             capture_output=True,
             check=True,
+            env=env,
         ).stdout
 
     return run(), run()
 
 
-def test_criterion_8_cli_determinism(demo_graph_file):
+def test_criterion_8_cli_determinism(demo_graph_file, cli_env):
     base = [
         "analyze",
         "--graph",
@@ -289,9 +290,9 @@ def test_criterion_8_cli_determinism(demo_graph_file):
         "--workers",
         "1",
     ]
-    first_tsv, second_tsv = _run_twice([*base, "--format", "tsv"])
+    first_tsv, second_tsv = _run_twice([*base, "--format", "tsv"], cli_env)
     assert first_tsv == second_tsv
-    first_json, second_json = _run_twice([*base, "--format", "json"])
+    first_json, second_json = _run_twice([*base, "--format", "json"], cli_env)
     assert first_json == second_json
     json.loads(first_json)  # must be valid JSON, not just stable bytes
 

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from critset.constraints import UnknownConstraintError, same_component
@@ -17,10 +18,10 @@ from critset.cost import (
     over_n,
     parse_cost_config,
 )
-from critset.graphs import Graph
+from critset.graphs import MEASURE_MODES, Graph
 from critset.taint import soil
 
-from .strategies import graphs_and_seeds
+from .strategies import graphs, graphs_and_seeds
 
 SAME_COMPONENT_GATE = CostSpec(gates=(("same-component", 1.0),))
 
@@ -271,3 +272,30 @@ def test_same_component_gate_via_evaluator(case):
     g, seeds = case
     ev = SubsetEvaluator(g, SAME_COMPONENT_GATE)
     assert ev.evaluate(seeds).defined == (same_component(g, seeds) == 1.0)
+
+
+@given(graphs(), st.sampled_from(MEASURE_MODES), st.data())
+@settings(max_examples=300, deadline=None)
+def test_flip_scoring_equals_evaluate_mask(g, mode, data):
+    # A random flip walk on a tiny cache: every flip's score must equal,
+    # exactly, a fresh evaluator's score of the flipped mask.
+    assume(mode == "node" or g.n_edges)
+    spec = CostSpec(
+        beta=over_n(2.0),
+        gates=(("same-component", 1.0),),
+        penalties=((0.7, "fuzzy-small:3"),),
+        mode=mode,
+    )
+    n = g.n_nodes
+    ev = SubsetEvaluator(g, spec, cache_limit=3)
+    mask = data.draw(st.integers(1, (1 << n) - 1))
+    coverage = ev.coverage(mask)
+    walk = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=30))
+    for v, accept in walk:
+        flipped = mask ^ (1 << v)
+        if flipped == 0:
+            continue
+        assert ev.evaluate_flip(mask, v, coverage) == SubsetEvaluator(g, spec).evaluate_mask(flipped)
+        assert np.array_equal(coverage.counts, ev.coverage(coverage.mask).counts)
+        if accept:
+            mask = flipped

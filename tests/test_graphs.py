@@ -57,6 +57,11 @@ def test_comments_and_blank_lines_ignored():
         ("node", "malformed"),
         ("node 1\nedge 1", "malformed"),
         ("node 1 x", "weight"),
+        ("node 1 inf", "finite"),
+        ("node 1 nan", "finite"),
+        ("node 1\nnode 2\nedge 1 2 inf", "finite"),
+        ("node 1 1e308\nnode 2 1e308", "total non-finite"),
+        ("node 1\nnode 2\nedge 1 2 1e308\nedge 2 1 1e308", "total non-finite"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -72,11 +77,40 @@ def test_parse_error_carries_line_number():
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,line_no",
+    [
+        ("node 1\nnode 2 inf\nedge 1 2", 2),
+        ("node 1 1e308\n# two huge nodes\nnode 2 1e308\nedge 1 2", 3),
+        ("node 1\nnode 2\nedge 1 2 1e308\nedge 1 1 1\nedge 2 1 1e308", 5),
+    ],
+)
+def test_non_finite_weight_error_names_its_line(text, line_no):
+    with pytest.raises(GraphParseError, match="finite") as err:
+        parse_graph(text)
+    assert err.value.line_no == line_no
+
+
 def test_constructor_rejects_bad_ids():
     with pytest.raises(GraphError):
         Graph([""])
     with pytest.raises(GraphError):
         Graph(["a b"])
+
+
+@pytest.mark.parametrize(
+    "nodes,edges",
+    [
+        ([("a", math.inf)], []),
+        ([("a", math.nan)], []),
+        (["a"], [("a", "a", math.inf)]),
+        ([("a", 1e308), ("b", 1e308)], []),
+        (["a", "b"], [("a", "b", 1e308), ("b", "a", 1e308)]),
+    ],
+)
+def test_constructor_rejects_non_finite_weights(nodes, edges):
+    with pytest.raises(GraphError, match="finite"):
+        Graph(nodes, edges)
 
 
 def test_unknown_node_lookups_raise():

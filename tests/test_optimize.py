@@ -2,21 +2,25 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critset.constraints import same_component
-from critset.cost import CostSpec, gated_cost, over_n
+from critset.cost import CostSpec, SubsetEvaluator, gated_cost, over_n
 from critset.graphs import Graph
 from critset.optimize import (
     AnnealingSchedule,
+    Candidate,
     GaParams,
     InfeasibleSearchError,
     anneal,
     evolve,
+    _result,
     exhaustive_search,
+    rank_key,
 )
 from critset.taint import soil
 
-from .strategies import graphs
+from .strategies import graphs, star_graphs
 
 BETA_ONE = CostSpec()
 BETA_OVER_N = CostSpec(beta=over_n(2.0))
@@ -190,3 +194,40 @@ def test_search_results_are_sound(g):
         _, s, _ = soil(g, seeds)
         redone = gated_cost(s, len(seeds), g.n_nodes, BETA_ONE)
         assert math.isclose(result.best.score.value, redone.value, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _full_sort_ranking(evaluator, seen, top_k):
+    # Reference: a Candidate for every seen mask, sorted by rank_key.
+    candidates = sorted((Candidate(evaluator.seeds_of(m), sc) for m, sc in seen.items()), key=rank_key)
+    return tuple(candidates[:top_k])
+
+
+def _all_defined(g, spec):
+    evaluator = SubsetEvaluator(g, spec)
+    scores = {m: evaluator.evaluate_mask(m) for m in range(1, 1 << g.n_nodes)}
+    return evaluator, {m: sc for m, sc in scores.items() if sc.defined}
+
+
+def _straddles_cut(ranked_all, top_k):
+    key = lambda c: (-c.score.value, len(c.seeds))  # noqa: E731
+    return top_k < len(ranked_all) and key(ranked_all[top_k - 1]) == key(ranked_all[top_k])
+
+
+def test_mask_ranking_matches_full_sort_on_demo_ties(demo):
+    evaluator, seen = _all_defined(demo, BETA_ONE)
+    everything = _full_sort_ranking(evaluator, seen, len(seen))
+    straddled = 0
+    for top_k in range(1, len(seen) + 2):
+        result = _result(evaluator, seen, 0, 0, "sa", top_k)
+        assert result.ranked == _full_sort_ranking(evaluator, seen, top_k)
+        straddled += _straddles_cut(everything, top_k)
+    assert straddled >= 10  # the demo graph has many equal (score, n) pairs
+
+
+@given(star_graphs(max_leaves=6), st.integers(1, 20))
+@settings(max_examples=100, deadline=None)
+def test_mask_ranking_matches_full_sort_on_stars(g, top_k):
+    evaluator, seen = _all_defined(g, BETA_OVER_N)
+    result = _result(evaluator, seen, 0, 0, "sa", top_k)
+    assert result.ranked == _full_sort_ranking(evaluator, seen, top_k)
+    assert result.best == result.ranked[0]
