@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,10 +128,14 @@ def generalized_cost(
             f"got {len(constraint_values)} constraint values for {len(spec.penalties)} penalties"
         )
     value = spec.alpha(n) * soiled * soiled
-    value += spec.beta(n) * (spec.gamma(n) - spec.delta(n) * (n / n_total)) ** 2
+    value += _size_term(spec, n, n_total)
     for (eps, _), c in zip(spec.penalties, constraint_values):
         value += eps * c
     return value
+
+
+def _size_term(spec: CostSpec, n: int, n_total: int) -> float:
+    return spec.beta(n) * (spec.gamma(n) - spec.delta(n) * (n / n_total)) ** 2
 
 
 def gated_cost(
@@ -162,6 +167,28 @@ def gated_cost(
     return Score(False, None, soiled, n, mu)
 
 
+class ScoreArrays(NamedTuple):
+    """Defined scores of many subsets: one int64 or float64 array per
+    ``Score`` field, aligned with ``masks``."""
+
+    masks: np.ndarray
+    value: np.ndarray
+    soiled: np.ndarray
+    n: np.ndarray
+    gate_degree: np.ndarray
+
+    def take(self, index) -> ScoreArrays:
+        return ScoreArrays(*(a[index] for a in self))
+
+    def concat(self, other: ScoreArrays) -> ScoreArrays:
+        return ScoreArrays(*map(np.concatenate, zip(self, other)))
+
+    def scores(self) -> dict[int, Score]:
+        """Each mask's ``Score``, in Python ints and floats."""
+        columns = zip(*(a.tolist() for a in self))
+        return {m: Score(True, value, s, n, mu) for m, value, s, n, mu in columns}
+
+
 @dataclass
 class Coverage:
     """Per-node seed counts of one subset: ``counts[u]`` is how many seeds
@@ -180,6 +207,9 @@ class SubsetEvaluator:
     iterables and matches propagate + gated_cost done by hand.
     ``evaluate_flip`` scores a one-node change of a subset from per-node
     ``coverage`` counts, sharing the cache and scoring tail.
+    ``evaluate_block`` scores many subsets at once from their closures,
+    which ``subset_closures`` enumerates; it bypasses the cache.
+    Constraints are compiled once into mask predicates for all of these.
     """
 
     def __init__(self, graph: Graph, spec: CostSpec, cache_limit: int = 1 << 18):
@@ -191,8 +221,8 @@ class SubsetEvaluator:
         self._cache: dict[int, Score] = {}
         self._cache_limit = cache_limit
 
-        self._gate_evs = tuple((_constraints.resolve(cid), tau) for cid, tau in spec.gates)
-        self._pen_evs = tuple(_constraints.resolve(cid) for _, cid in spec.penalties)
+        self._gate_preds = tuple(_constraints.resolve(cid).compile(graph) for cid, _ in spec.gates)
+        self._pen_preds = tuple(_constraints.resolve(cid).compile(graph) for _, cid in spec.penalties)
 
         succ = [[self._index[u] for u in graph.successors(v)] for v in self._ids]
         reach: list[int] = []
@@ -301,15 +331,69 @@ class SubsetEvaluator:
         n = mask.bit_count()
         degrees: Sequence[float] = ()
         cvals: Sequence[float] = ()
-        if self._gate_evs or self._pen_evs:
-            seeds = self.seeds_of(mask)
-            degrees = [ev.evaluate(self.graph, seeds) for ev, _ in self._gate_evs]
-            cvals = [ev.evaluate(self.graph, seeds) for ev in self._pen_evs]
+        if self._gate_preds or self._pen_preds:
+            degrees = [float(pred(mask, n)) for pred in self._gate_preds]
+            cvals = [float(pred(mask, n)) for pred in self._pen_preds]
         score = gated_cost(s, n, self._n_total, self.spec, degrees, cvals)
         if len(self._cache) >= self._cache_limit:
             self._cache.clear()
         self._cache[mask] = score
         return score
+
+    def subset_closures(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Closures and sizes of all subsets of nodes ``first`` .. ``first + count - 1``.
+
+        Entry j of each int64 array is for the subset ``j << first``; both
+        are built by doubling, entry j + 2^t extending entry j by node
+        ``first + t``.
+        """
+        closures = np.zeros(1 << count, dtype=np.int64)
+        sizes = np.zeros(1 << count, dtype=np.int64)
+        for t in range(count):
+            half = 1 << t
+            closures[half : 2 * half] = closures[:half] | self._reach[first + t]
+            sizes[half : 2 * half] = sizes[:half] + 1
+        return closures, sizes
+
+    def evaluate_block(self, masks: np.ndarray, closures: np.ndarray, sizes: np.ndarray) -> ScoreArrays:
+        """The defined scores among nonempty subsets given as int64 arrays of
+        masks, their closures and sizes; bit for bit those of ``evaluate_mask``.
+
+        Raises ``ValueError`` as ``gated_cost`` does, for a gate degree
+        outside [0, 1] or a non-finite defined score.
+        """
+        soiled_w = np.zeros(len(masks))
+        for i, w in enumerate(self._weight):
+            # Ascending node order, as evaluate_mask adds; adding 0.0 changes no sum.
+            soiled_w += np.where((closures >> i) & 1, w, 0.0)
+        s = soiled_w / self._total
+        mu = np.ones(len(masks))
+        for pred in self._gate_preds:
+            degree = np.asarray(pred(masks, sizes), dtype=np.float64)
+            outside = ~((degree >= 0.0) & (degree <= 1.0))
+            if outside.any():
+                raise ValueError(f"gate degree {degree[outside][0].item()!r} outside [0, 1]")
+            mu = np.minimum(mu, degree)
+        defined = np.ones(len(masks), dtype=bool)
+        for _, tau in self.spec.gates:
+            defined &= mu >= tau
+        alpha, size_term = self._size_tables
+        value = alpha[sizes] * s * s + size_term[sizes]
+        for (eps, _), pred in zip(self.spec.penalties, self._pen_preds):
+            value += eps * np.asarray(pred(masks, sizes), dtype=np.float64)
+        not_finite = defined & ~np.isfinite(value)
+        if not_finite.any():
+            raise ValueError(f"cost value is not finite: {value[not_finite][0].item()!r}")
+        return ScoreArrays(masks, value, s, sizes, mu).take(defined)
+
+    @cached_property
+    def _size_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """alpha(n) and ``_size_term`` for n = 1..N at index n (index 0 unused),
+        computed in Python as ``generalized_cost`` computes them."""
+        sizes = range(1, self._n_total + 1)
+        alpha = [math.nan, *(self.spec.alpha(n) for n in sizes)]
+        size_term = [math.nan, *(_size_term(self.spec, n, self._n_total) for n in sizes)]
+        return np.array(alpha), np.array(size_term)
 
 
 def _bits(mask: int):

@@ -1,10 +1,12 @@
 """Maximize a cost spec over nonempty seed subsets.
 
-Three searchers share one evaluator: exhaustive enumeration (exact,
-capped at 22 nodes), simulated annealing (which scores each one-node flip
-from the current subset's coverage counts), and a genetic algorithm. The
-two randomized searchers are heuristics; the test suite verifies them
-against the exhaustive result instead of assuming global optimality.
+Three searchers score subsets through a ``SubsetEvaluator``: exhaustive
+enumeration (exact, capped at 22 nodes), which scores all 2^N - 1
+subsets in numpy blocks from closures built by doubling; simulated
+annealing, which scores each one-node flip from the current subset's
+coverage counts; and a genetic algorithm. The two randomized searchers
+are heuristics; the test suite verifies them against the exhaustive
+result instead of assuming global optimality.
 All are deterministic for a fixed rng seed; annealing restarts draw
 independent streams derived from (seed, restart index), so the result
 does not depend on the worker count.
@@ -18,10 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostSpec, Score, SubsetEvaluator
+from .cost import CostSpec, Score, ScoreArrays, SubsetEvaluator
 from .graphs import Graph
 
 EXHAUSTIVE_NODE_CAP = 22
+# Subsets exhaustive search scores per numpy pass; a power of two. It bounds
+# memory to a few arrays of this length whatever the node count.
+EXHAUSTIVE_BLOCK_SIZE = 1 << 16
 _MAX_START_ATTEMPTS = 1000
 
 
@@ -144,22 +149,39 @@ def exhaustive_search(
             f"exhaustive search over {n} nodes would take 2^{n} evaluations; cap is {node_cap}"
         )
     evaluator = SubsetEvaluator(g, spec)
-    # Bounded accumulator: keep the best few, prune periodically.
-    buf: list[tuple[tuple, int, Score]] = []
-    keep = max(top_k, 1)
-    for mask in range(1, 1 << n):
-        sc = evaluator.evaluate_mask(mask)
-        if sc.defined:
-            key = (-sc.value, mask.bit_count(), tuple(sorted(evaluator.seeds_of(mask))))
-            buf.append((key, mask, sc))
-            if len(buf) > 4 * keep + 64:
-                buf.sort(key=lambda item: item[0])
-                del buf[keep:]
-    if not buf:
+    # Mask (high << low_bits) | low has as closure the OR of those of its
+    # high and low parts, and as size their sum: one table for each part.
+    low_bits = min(n, EXHAUSTIVE_BLOCK_SIZE.bit_length() - 1)
+    low_closures, low_sizes = evaluator.subset_closures(0, low_bits)
+    high_closures, high_sizes = evaluator.subset_closures(low_bits, n - low_bits)
+    low_masks = np.arange(1 << low_bits, dtype=np.int64)
+    kept: ScoreArrays | None = None
+    cut = None
+    for high in range(1 << (n - low_bits)):
+        start = 1 if high == 0 else 0  # skip the empty subset
+        block = evaluator.evaluate_block(
+            low_masks[start:] | (high << low_bits),
+            low_closures[start:] | high_closures[high],
+            low_sizes[start:] + high_sizes[high],
+        )
+        # Keep every mask up to and tied with the k-th on (score, size):
+        # _result breaks those ties by seed ids.
+        if cut is not None:
+            block = block.take(_at_or_above(block, cut))
+        kept = block if kept is None else kept.concat(block)
+        if len(kept.masks) >= top_k:
+            kth = np.lexsort((kept.n, -kept.value))[top_k - 1]
+            cut = (kept.value[kth], kept.n[kth])
+            kept = kept.take(_at_or_above(kept, cut))
+    if len(kept.masks) == 0:
         raise InfeasibleSearchError("every subset is gated out; no defined candidate exists")
-    buf.sort(key=lambda item: item[0])
-    seen = {mask: sc for _, mask, sc in buf[:keep]}
-    return _result(evaluator, seen, (1 << n) - 1, rng_seed, "exhaustive", top_k)
+    return _result(evaluator, kept.scores(), (1 << n) - 1, rng_seed, "exhaustive", top_k)
+
+
+def _at_or_above(scores: ScoreArrays, cut) -> np.ndarray:
+    """Which of ``scores`` rank at or before (value, n) = ``cut`` on (-value, n)."""
+    value, n = cut
+    return (scores.value > value) | ((scores.value == value) & (scores.n <= n))
 
 
 def _feasible_start(evaluator, rng, n):

@@ -1,6 +1,7 @@
-"""Shared hypothesis strategies: small random digraphs and seed sets."""
+"""Shared hypothesis strategies: small random digraphs, seed sets and cost specs."""
 from hypothesis import strategies as st
 
+from critset.cost import CONST, OVER_N, CoefficientFn, CostSpec
 from critset.graphs import Graph
 
 weights = st.floats(min_value=0.1, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -45,3 +46,50 @@ def star_graphs(draw, max_leaves=9):
     k = draw(st.integers(1, max_leaves))
     ids = ["hub"] + [f"leaf{i}" for i in range(k)]
     return Graph(ids, [("hub", leaf) for leaf in ids[1:]])
+
+
+@st.composite
+def edgeless_graphs(draw, max_nodes=8):
+    """Unit-weight nodes and no edges: every subset of one size ties."""
+    n = draw(st.integers(1, max_nodes))
+    return Graph([f"v{i}" for i in range(n)])
+
+
+@st.composite
+def constraint_ids(draw, g):
+    """One registry id of each constraint kind, with parameters fitting ``g``."""
+    node_lists = st.sets(st.sampled_from(list(g.node_ids)), max_size=3).map(lambda s: ",".join(sorted(s)))
+    lo = draw(st.integers(1, g.n_nodes + 1))
+    hi = draw(st.integers(lo, g.n_nodes + 2))
+    scale = draw(st.floats(min_value=0.5, max_value=8.0))
+    return [
+        "same-component",
+        f"cardinality:{lo}:{hi}",
+        "require:" + draw(node_lists),
+        "forbid:" + draw(node_lists),
+        f"fuzzy-small:{scale!r}",
+    ]
+
+
+coefficients = st.builds(
+    CoefficientFn,
+    st.sampled_from([CONST, OVER_N]),
+    st.floats(min_value=-2.0, max_value=3.0, allow_nan=False),
+)
+
+
+@st.composite
+def cost_specs(draw, g):
+    """Any coefficients, measure and gates and penalties of every constraint kind."""
+    constraint = st.sampled_from(draw(constraint_ids(g)))
+    gates = st.tuples(constraint, st.floats(min_value=0.05, max_value=1.0))
+    penalties = st.tuples(st.floats(min_value=-2.0, max_value=2.0), constraint)
+    return CostSpec(
+        alpha=draw(coefficients),
+        beta=draw(coefficients),
+        gamma=draw(coefficients),
+        delta=draw(coefficients),
+        gates=tuple(draw(st.lists(gates, max_size=2))),
+        penalties=tuple(draw(st.lists(penalties, max_size=2))),
+        mode="edge" if g.n_edges and draw(st.booleans()) else "node",
+    )

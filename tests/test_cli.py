@@ -53,6 +53,14 @@ def test_analyze_unknown_constraint(demo_graph_file, capsys):
     assert "never-heard-of-it" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--gate", "forbid:nope"], ["--penalty", "require:nope:0.5"]])
+def test_analyze_unknown_constraint_node(demo_graph_file, capsys, flag):
+    assert main(["analyze", "--graph", str(demo_graph_file), *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "constraint references unknown node id 'nope'" in captured.err
+
+
 def test_analyze_conflicting_beta_flags(demo_graph_file, capsys):
     code = main(["analyze", "--graph", str(demo_graph_file), "--beta-const", "1", "--beta-over-n", "2"])
     assert code == 1

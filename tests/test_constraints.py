@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,10 @@ from critset.constraints import (
     resolve,
     same_component,
 )
+from critset.cost import CostSpec, SubsetEvaluator
 from critset.graphs import Graph
 
-from .strategies import graphs_and_seeds
+from .strategies import constraint_ids, graphs, graphs_and_seeds
 
 
 @pytest.mark.parametrize(
@@ -80,6 +82,14 @@ def test_require_unknown_node_rejected_at_evaluation(demo):
         require_nodes({"nope"}).evaluate(demo, frozenset({"1"}))
 
 
+@pytest.mark.parametrize("cid", ["require:nope", "forbid:1,nope"])
+def test_unknown_node_rejected_at_compile(demo, cid):
+    with pytest.raises(ValueError, match="unknown node id 'nope'"):
+        resolve(cid).compile(demo)
+    with pytest.raises(ValueError, match="unknown node id 'nope'"):
+        SubsetEvaluator(demo, CostSpec(penalties=((0.5, cid),)))
+
+
 def test_fuzzy_small_values(demo):
     ev = fuzzy_small_subset(6)
     assert ev.evaluate(demo, frozenset({"1"})) == 1.0
@@ -140,3 +150,20 @@ def test_resolved_matches_direct_construction(demo):
     seeds = frozenset({"1", "4"})
     assert resolve("cardinality:2:4").evaluate(demo, seeds) == cardinality_between(2, 4).evaluate(demo, seeds)
     assert resolve("fuzzy-small:6").evaluate(demo, seeds) == fuzzy_small_subset(6).evaluate(demo, seeds)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_compiled_predicates_match_evaluate(data):
+    g = data.draw(graphs(max_nodes=8))
+    full = (1 << g.n_nodes) - 1
+    masks = data.draw(st.lists(st.integers(1, full), min_size=1, max_size=16))
+    sizes = [m.bit_count() for m in masks]
+    seed_sets = [frozenset(v for i, v in enumerate(g.node_ids) if m >> i & 1) for m in masks]
+    for cid in data.draw(constraint_ids(g)):
+        ev = resolve(cid)
+        pred = ev.compile(g)
+        expected = [ev.evaluate(g, seeds) for seeds in seed_sets]
+        assert [float(pred(m, n)) for m, n in zip(masks, sizes)] == expected, cid
+        bulk = pred(np.array(masks, dtype=np.int64), np.array(sizes, dtype=np.int64))
+        assert np.asarray(bulk, dtype=np.float64).tolist() == expected, cid

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critset import optimize
 from critset.constraints import same_component
 from critset.cost import CostSpec, SubsetEvaluator, gated_cost, over_n
 from critset.graphs import Graph
@@ -12,6 +13,7 @@ from critset.optimize import (
     Candidate,
     GaParams,
     InfeasibleSearchError,
+    SearchResult,
     anneal,
     evolve,
     _result,
@@ -20,7 +22,7 @@ from critset.optimize import (
 )
 from critset.taint import soil
 
-from .strategies import graphs, star_graphs
+from .strategies import cost_specs, edgeless_graphs, graphs, star_graphs
 
 BETA_ONE = CostSpec()
 BETA_OVER_N = CostSpec(beta=over_n(2.0))
@@ -231,3 +233,60 @@ def test_mask_ranking_matches_full_sort_on_stars(g, top_k):
     result = _result(evaluator, seen, 0, 0, "sa", top_k)
     assert result.ranked == _full_sort_ranking(evaluator, seen, top_k)
     assert result.best == result.ranked[0]
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except InfeasibleSearchError as exc:
+        return type(exc), str(exc)
+
+
+def _brute_force_search(g, spec, top_k):
+    # Reference: evaluate_mask on every mask, all defined ones ranked by rank_key.
+    evaluator, seen = _all_defined(g, spec)
+    if not seen:
+        raise InfeasibleSearchError("every subset is gated out; no defined candidate exists")
+    ranked = _full_sort_ranking(evaluator, seen, top_k)
+    return SearchResult(ranked[0], ranked, (1 << g.n_nodes) - 1, 0, "exhaustive")
+
+
+small_graphs = st.one_of(graphs(max_nodes=7), graphs(max_nodes=7, weighted=False), edgeless_graphs(7), star_graphs(6))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_exhaustive_equals_brute_force(data):
+    g = data.draw(small_graphs)
+    spec = data.draw(cost_specs(g))
+    top_k = data.draw(st.integers(1, (1 << g.n_nodes) + 2))
+    assert _outcome(exhaustive_search, g, spec, top_k) == _outcome(_brute_force_search, g, spec, top_k)
+
+
+def _in_blocks_of_four(g, spec, top_k):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "EXHAUSTIVE_BLOCK_SIZE", 4)
+        return _outcome(exhaustive_search, g, spec, top_k)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_exhaustive_blocks_match_one_block(data):
+    g = data.draw(st.one_of(graphs(max_nodes=10), edgeless_graphs(10)))
+    spec = data.draw(cost_specs(g))
+    top_k = data.draw(st.integers(1, 40))
+    assert _in_blocks_of_four(g, spec, top_k) == _outcome(exhaustive_search, g, spec, top_k)
+
+
+def test_exhaustive_block_cut_keeps_ties_across_blocks():
+    # Edgeless with unit weights: a subset's score depends on its size
+    # alone, so each size's C(8, n) tied masks are spread over many blocks.
+    g = Graph([f"v{i}" for i in range(8)])
+    evaluator, seen = _all_defined(g, BETA_ONE)
+    everything = _full_sort_ranking(evaluator, seen, len(seen))
+    straddled = 0
+    for top_k in range(1, len(seen) + 2):
+        expected = SearchResult(everything[0], everything[:top_k], 255, 0, "exhaustive")
+        assert _in_blocks_of_four(g, BETA_ONE, top_k) == expected
+        straddled += _straddles_cut(everything, top_k)
+    assert straddled >= 100
