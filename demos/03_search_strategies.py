@@ -53,10 +53,11 @@ for rank, cand in enumerate(result.ranked[:5], start=1):
     print(f"  {rank:>4}  {','.join(cand.sorted_seeds):<9}  {cand.score.value:.4f}")
 print()
 
-# Determinism: the same rng_seed replays the same annealing run, and
-# worker threads do not change the outcome, only the wall time.
+# Determinism: the same rng_seed replays the same annealing run. Each
+# restart draws from its own stream, so the restarts can walk in
+# lockstep; a different seed may take another path to the same optimum.
 once = anneal(g, spec, AnnealingSchedule(), rng_seed=7)
 again = anneal(g, spec, AnnealingSchedule(), rng_seed=7)
-parallel = anneal(g, spec, AnnealingSchedule(), rng_seed=7, workers=4)
-print("annealing replay identical: ", once.best.seeds == again.best.seeds)
-print("worker count irrelevant:    ", parallel.best.seeds == once.best.seeds)
+other = anneal(g, spec, AnnealingSchedule(), rng_seed=8)
+print("annealing replay identical: ", once == again)
+print("another seed, same optimum: ", other.best.seeds == once.best.seeds)

@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--rng-seed", type=int, default=0, metavar="U64", help="random seed (default 0)")
     an.add_argument("--top", type=int, default=10, metavar="K", help="how many candidates to report (default 10)")
     an.add_argument("--format", choices=["tsv", "json"], default="tsv", help="report format (default tsv)")
-    an.add_argument("--workers", type=int, default=1, metavar="INT", help="annealing worker threads (default 1)")
     an.set_defaults(func=cmd_analyze)
 
     tb = sub.add_parser("tables", help="print the bundled demo-graph score tables")
@@ -162,12 +161,10 @@ def _run_search(g: Graph, spec: CostSpec, args) -> SearchResult:
         optimizer = "exhaustive" if g.n_nodes <= EXHAUSTIVE_NODE_CAP else "sa"
     if args.top < 1:
         raise ValueError("--top must be >= 1")
-    if args.workers < 1:
-        raise ValueError("--workers must be >= 1")
     if optimizer == "exhaustive":
         return exhaustive_search(g, spec, args.top, rng_seed=args.rng_seed)
     if optimizer == "sa":
-        return anneal(g, spec, AnnealingSchedule(), args.rng_seed, top_k=args.top, workers=args.workers)
+        return anneal(g, spec, AnnealingSchedule(), args.rng_seed, top_k=args.top)
     return evolve(g, spec, GaParams(), args.rng_seed, top_k=args.top)
 
 

@@ -191,10 +191,10 @@ class ScoreArrays(NamedTuple):
 
 @dataclass
 class Coverage:
-    """Per-node seed counts of one subset: ``counts[u]`` is how many seeds
-    of ``mask`` reach node u."""
+    """Per-node seed counts of several subsets, one row each: ``counts[r, u]``
+    is how many seeds of ``masks[r]`` reach node u."""
 
-    mask: int
+    masks: list[int]
     counts: np.ndarray
 
 
@@ -205,8 +205,9 @@ class SubsetEvaluator:
     node i), which keeps the optimizers' inner loops cheap; reachability
     closures are precomputed per node. ``evaluate`` accepts plain node-id
     iterables and matches propagate + gated_cost done by hand.
-    ``evaluate_flip`` scores a one-node change of a subset from per-node
-    ``coverage`` counts, sharing the cache and scoring tail.
+    ``evaluate_flips`` scores one-node changes of several subsets at once
+    from their per-node ``coverage`` counts, sharing the cache (``cached``
+    looks a mask up in it) and the scoring tail.
     ``evaluate_block`` scores many subsets at once from their closures,
     which ``subset_closures`` enumerates; it bypasses the cache.
     Constraints are compiled once into mask predicates for all of these.
@@ -220,9 +221,13 @@ class SubsetEvaluator:
         self._n_total = graph.n_nodes
         self._cache: dict[int, Score] = {}
         self._cache_limit = cache_limit
+        # cached(mask): the cached Score of mask, or None; clearing keeps the dict.
+        self.cached = self._cache.get
 
         self._gate_preds = tuple(_constraints.resolve(cid).compile(graph) for cid, _ in spec.gates)
-        self._pen_preds = tuple(_constraints.resolve(cid).compile(graph) for _, cid in spec.penalties)
+        # A score is defined when mu reaches every gate's tau: the largest one.
+        self._tau = max((tau for _, tau in spec.gates), default=0.0)
+        self._penalties = tuple((eps, _constraints.resolve(cid).compile(graph)) for eps, cid in spec.penalties)
 
         succ = [[self._index[u] for u in graph.successors(v)] for v in self._ids]
         reach: list[int] = []
@@ -238,12 +243,6 @@ class SubsetEvaluator:
                         stack.append(u)
             reach.append(seen)
         self._reach = reach
-        # Row v holds reach(v) as 0/1 bytes; bit u of a little-endian
-        # integer is bit u % 8 of its byte u // 8.
-        width = (self._n_total + 7) // 8
-        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in reach), dtype=np.uint8)
-        bits = np.unpackbits(packed.reshape(self._n_total, width), axis=1, bitorder="little")
-        self._reach_rows = bits[:, : self._n_total]
 
         if spec.mode == "node":
             self._weight = [graph.node_weight(v) for v in self._ids]
@@ -292,49 +291,99 @@ class SubsetEvaluator:
             score = self._score(mask, soiled_w)
         return score
 
-    def coverage(self, mask: int) -> Coverage:
-        """Per-node seed counts of ``mask``, as ``evaluate_flip`` takes them."""
-        return Coverage(mask, self._reach_rows[list(_bits(mask))].sum(axis=0, dtype=np.int32))
+    def coverage(self, masks: Sequence[int]) -> Coverage:
+        """Per-node seed counts of ``masks``, one row each, as ``evaluate_flips`` takes them."""
+        counts = np.zeros((len(masks), self._n_total), dtype=np.int32)
+        for r, mask in enumerate(masks):
+            counts[r] = self._reach_steps[list(_bits(mask))].sum(axis=0, dtype=np.int32)
+        return Coverage(list(masks), counts)
 
-    def evaluate_flip(self, mask: int, v: int, coverage: Coverage) -> Score:
-        """``evaluate_mask(mask ^ (1 << v))``, from the coverage of a nearby subset.
+    @cached_property
+    def _reach_steps(self) -> np.ndarray:
+        """What adding seed v does to coverage counts (row v: reach(v) as
+        0/1), and what removing it does (row N + v: the negation), as int8."""
+        n = self._n_total
+        # Bit u of a little-endian integer is bit u % 8 of its byte u // 8.
+        width = (n + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self._reach), dtype=np.uint8)
+        rows = np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n].astype(np.int8)
+        return np.concatenate((rows, -rows))
 
-        On a cache miss, ``coverage`` is first moved to ``mask`` by adding or
-        removing the reach rows of the seeds in which the two differ, so a
-        walk that flips one node at a time pays only for the moves it made.
-        The closure then takes O(N) array operations rather than one reach
-        set per seed, and the score is the same, bit for bit.
+    def evaluate_flips(
+        self, coverage: Coverage, rows: Sequence[int], masks: Sequence[int], flips: Sequence[int]
+    ) -> list[Score]:
+        """``evaluate_mask(masks[j] ^ (1 << flips[j]))`` for each j, where row
+        ``rows[j]`` of ``coverage`` counts a subset near ``masks[j]``; no row twice.
+
+        The cache misses are scored together. Each of their rows is first
+        moved to its mask by adding or removing the reach rows of the seeds
+        in which the two differ, so a walk that flips one node at a time pays
+        only for the moves it made. The closures then take O(N) array
+        operations per row rather than one reach set per seed, and the scores
+        are the same, bit for bit.
         """
-        flipped = mask ^ (1 << v)
-        score = self._cache.get(flipped)
-        if score is None:
-            if flipped == 0 or flipped >> self._n_total:
-                raise ValueError(f"mask {flipped:#x} is not a nonempty subset of the graph's nodes")
-            rows = self._reach_rows
-            counts = coverage.counts
-            for u in _bits(coverage.mask ^ mask):
-                if mask >> u & 1:
-                    counts += rows[u]
-                else:
-                    counts -= rows[u]
-            coverage.mask = mask
-            row = rows[v]
-            covered = counts > row if mask >> v & 1 else np.logical_or(counts, row)
-            # cumsum adds in ascending node order, as evaluate_mask does.
-            soiled_w = float(self._weight_arr[covered].cumsum()[-1])
-            score = self._score(flipped, soiled_w)
-        return score
+        n = self._n_total
+        scores = []
+        misses = []
+        for j, (mask, v) in enumerate(zip(masks, flips)):
+            flipped = mask ^ (1 << v)
+            score = self._cache.get(flipped)
+            if score is None:
+                if flipped == 0 or flipped >> n:
+                    raise ValueError(f"mask {flipped:#x} is not a nonempty subset of the graph's nodes")
+                misses.append(j)
+            scores.append(score)
+        if not misses:
+            return scores
+        miss_rows, flip_steps, moved, steps = [], [], [], []
+        for j in misses:
+            r, mask, v = rows[j], masks[j], flips[j]
+            diff = coverage.masks[r] ^ mask
+            while diff:
+                low = diff & -diff
+                u = low.bit_length() - 1
+                moved.append(r)
+                steps.append(u if mask & low else n + u)
+                diff ^= low
+            coverage.masks[r] = mask
+            miss_rows.append(r)
+            flip_steps.append(n + v if mask >> v & 1 else v)
+        counts = coverage.counts
+        table = self._reach_steps
+        # take() gathers rows faster than fancy indexing does.
+        if len(set(moved)) == len(moved):
+            counts[moved] += table.take(steps, axis=0)
+        else:
+            np.add.at(counts, moved, table.take(steps, axis=0))
+        covered = counts.take(miss_rows, axis=0) + table.take(flip_steps, axis=0) > 0
+        # cumsum adds in ascending node order, as evaluate_mask does.
+        soiled_w = np.where(covered, self._weight_arr, 0.0).cumsum(axis=1)[:, -1]
+        for j, w in zip(misses, soiled_w.tolist()):
+            scores[j] = self._score(masks[j] ^ (1 << flips[j]), w)
+        return scores
 
     def _score(self, mask: int, soiled_w: float) -> Score:
-        """Gates, penalties and cost for a mask whose soiled weight is known; cached."""
+        """Gates, penalties and cost for a mask whose soiled weight is known,
+        computed as ``gated_cost`` computes them; cached."""
         s = soiled_w / self._total
         n = mask.bit_count()
-        degrees: Sequence[float] = ()
-        cvals: Sequence[float] = ()
-        if self._gate_preds or self._pen_preds:
-            degrees = [float(pred(mask, n)) for pred in self._gate_preds]
-            cvals = [float(pred(mask, n)) for pred in self._pen_preds]
-        score = gated_cost(s, n, self._n_total, self.spec, degrees, cvals)
+        mu = 1.0
+        for pred in self._gate_preds:
+            d = float(pred(mask, n))
+            if not 0.0 <= d <= 1.0:
+                raise ValueError(f"gate degree {d!r} outside [0, 1]")
+            mu = min(mu, d)
+        if mu >= self._tau:
+            alpha, size_term = self._size_tables
+            value = alpha[n] * s * s
+            value += size_term[n]
+            for eps, pred in self._penalties:
+                value += eps * float(pred(mask, n))
+            if not math.isfinite(value):
+                raise ValueError(f"cost value is not finite: {value!r}")
+            score = Score(True, value, s, n, mu)
+        else:
+            score = Score(False, None, s, n, mu)
         if len(self._cache) >= self._cache_limit:
             self._cache.clear()
         self._cache[mask] = score
@@ -374,12 +423,10 @@ class SubsetEvaluator:
             if outside.any():
                 raise ValueError(f"gate degree {degree[outside][0].item()!r} outside [0, 1]")
             mu = np.minimum(mu, degree)
-        defined = np.ones(len(masks), dtype=bool)
-        for _, tau in self.spec.gates:
-            defined &= mu >= tau
-        alpha, size_term = self._size_tables
+        defined = mu >= self._tau
+        alpha, size_term = map(np.array, self._size_tables)
         value = alpha[sizes] * s * s + size_term[sizes]
-        for (eps, _), pred in zip(self.spec.penalties, self._pen_preds):
+        for eps, pred in self._penalties:
             value += eps * np.asarray(pred(masks, sizes), dtype=np.float64)
         not_finite = defined & ~np.isfinite(value)
         if not_finite.any():
@@ -387,13 +434,13 @@ class SubsetEvaluator:
         return ScoreArrays(masks, value, s, sizes, mu).take(defined)
 
     @cached_property
-    def _size_tables(self) -> tuple[np.ndarray, np.ndarray]:
+    def _size_tables(self) -> tuple[list[float], list[float]]:
         """alpha(n) and ``_size_term`` for n = 1..N at index n (index 0 unused),
-        computed in Python as ``generalized_cost`` computes them."""
+        computed as ``generalized_cost`` computes them."""
         sizes = range(1, self._n_total + 1)
         alpha = [math.nan, *(self.spec.alpha(n) for n in sizes)]
         size_term = [math.nan, *(_size_term(self.spec, n, self._n_total) for n in sizes)]
-        return np.array(alpha), np.array(size_term)
+        return alpha, size_term
 
 
 def _bits(mask: int):

@@ -3,19 +3,18 @@
 Three searchers score subsets through a ``SubsetEvaluator``: exhaustive
 enumeration (exact, capped at 22 nodes), which scores all 2^N - 1
 subsets in numpy blocks from closures built by doubling; simulated
-annealing, which scores each one-node flip from the current subset's
-coverage counts; and a genetic algorithm. The two randomized searchers
-are heuristics; the test suite verifies them against the exhaustive
-result instead of assuming global optimality.
+annealing, whose restarts walk in lockstep so that each step scores
+the restarts' uncached one-node flips in one numpy pass over their
+coverage counts; and a genetic algorithm. The two randomized searchers are
+heuristics; the test suite verifies them against the exhaustive result
+instead of assuming global optimality.
 All are deterministic for a fixed rng seed; annealing restarts draw
-independent streams derived from (seed, restart index), so the result
-does not depend on the worker count.
+independent streams derived from (seed, restart index).
 """
 from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,6 +184,8 @@ def _at_or_above(scores: ScoreArrays, cut) -> np.ndarray:
 
 
 def _feasible_start(evaluator, rng, n):
+    """A gate-feasible start, its score and the evaluations it counts (1):
+    uniformly random subsets first, then the singletons in a random order."""
     for _ in range(_MAX_START_ATTEMPTS):
         bits = np.flatnonzero(rng.integers(0, 2, n))
         if bits.size == 0:
@@ -195,43 +196,16 @@ def _feasible_start(evaluator, rng, n):
         score = evaluator.evaluate_mask(mask)
         if score.defined:
             return mask, score, 1
+    # Random subsets hold about n/2 seeds, which a gate on size or on
+    # components can rule out almost everywhere.
+    for v in rng.permutation(n).tolist():
+        score = evaluator.evaluate_mask(1 << v)
+        if score.defined:
+            return 1 << v, score, 1
     raise InfeasibleSearchError(
-        f"no gate-feasible starting subset found in {_MAX_START_ATTEMPTS} attempts"
+        f"no gate-feasible starting subset found in {_MAX_START_ATTEMPTS} random attempts"
+        f" or among the {n} single-node subsets"
     )
-
-
-def _anneal_restart(evaluator, schedule, rng_seed, restart_index):
-    n = evaluator.n_total
-    rng = np.random.default_rng([rng_seed, restart_index])
-    evaluations = 0
-    current, score, used = _feasible_start(evaluator, rng, n)
-    evaluations += used
-    current_value = score.value
-    coverage = evaluator.coverage(current)
-    seen = {current: score}
-    steps = schedule.steps_per_temperature
-    temperature = schedule.initial_temperature
-    exp = math.exp
-    evaluate_flip = evaluator.evaluate_flip
-    while temperature >= schedule.minimum_temperature:
-        flips = rng.integers(0, n, steps).tolist()
-        draws = rng.random(steps).tolist()
-        for i in range(steps):
-            v = flips[i]
-            neighbor = current ^ (1 << v)
-            if neighbor == 0:
-                continue
-            sc = evaluate_flip(current, v, coverage)
-            evaluations += 1
-            if not sc.defined:
-                continue
-            seen[neighbor] = sc
-            delta = sc.value - current_value
-            if delta >= 0.0 or draws[i] < exp(delta / temperature):
-                current = neighbor
-                current_value = sc.value
-        temperature *= schedule.cooling_factor
-    return seen, evaluations
 
 
 def anneal(
@@ -241,28 +215,72 @@ def anneal(
     rng_seed: int = 0,
     *,
     top_k: int = 10,
-    workers: int = 1,
 ) -> SearchResult:
     """Simulated annealing over subsets.
 
-    Each restart starts from a uniformly random gate-feasible nonempty
-    subset and flips one node's membership per step; moves that empty
-    the set or fail a gate are rejected, worse moves are accepted with
-    probability exp(delta/T). Restarts run on independent RNG streams
-    (optionally in parallel) and the incumbent best is kept across them.
+    Each restart starts from a random gate-feasible nonempty subset and
+    flips one node's membership per step; moves that empty the set or
+    fail a gate are rejected, worse moves are accepted with probability
+    exp(delta/T). Restarts draw from independent RNG streams and walk in
+    lockstep, so each step scores their uncached flips in one batch; the
+    incumbent best is kept across them.
     """
     evaluator = SubsetEvaluator(g, spec)
-    indices = range(schedule.restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda r: _anneal_restart(evaluator, schedule, rng_seed, r), indices))
-    else:
-        outcomes = [_anneal_restart(evaluator, schedule, rng_seed, r) for r in indices]
+    n = evaluator.n_total
+    rngs = [np.random.default_rng([rng_seed, r]) for r in range(schedule.restarts)]
     seen: dict[int, Score] = {}
+    current: list[int] = []
+    values: list[float] = []
     evaluations = 0
-    for restart_seen, restart_evals in outcomes:
-        seen.update(restart_seen)
-        evaluations += restart_evals
+    for rng in rngs:
+        mask, score, used = _feasible_start(evaluator, rng, n)
+        seen[mask] = score
+        current.append(mask)
+        values.append(score.value)
+        evaluations += used
+    coverage = evaluator.coverage(current)
+    steps = schedule.steps_per_temperature
+    temperature = schedule.initial_temperature
+    exp = math.exp
+    cached = evaluator.cached
+    while temperature >= schedule.minimum_temperature:
+        # Each stream draws as a restart walking alone would: flips, then draws.
+        flips = list(zip(*[rng.integers(0, n, steps).tolist() for rng in rngs]))
+        draws = list(zip(*[rng.random(steps).tolist() for rng in rngs]))
+        for step_flips, step_draws in zip(flips, draws):
+            # Restarts whose neighbour is cached move at once; the others'
+            # neighbours are scored together, and then they move. A flip
+            # that would empty the subset is no move.
+            misses = []
+            for r, (mask, v, draw) in enumerate(zip(current, step_flips, step_draws)):
+                neighbor = mask ^ (1 << v)
+                if neighbor == 0:
+                    continue
+                evaluations += 1
+                sc = cached(neighbor)
+                if sc is None:
+                    misses.append(r)
+                elif sc.defined:
+                    seen[neighbor] = sc
+                    delta = sc.value - values[r]
+                    # math.exp, not np.exp: the two can differ in the last bit.
+                    if delta >= 0.0 or draw < exp(delta / temperature):
+                        current[r] = neighbor
+                        values[r] = sc.value
+            if not misses:
+                continue
+            masks = [current[r] for r in misses]
+            miss_flips = [step_flips[r] for r in misses]
+            scores = evaluator.evaluate_flips(coverage, misses, masks, miss_flips)
+            for r, mask, v, sc in zip(misses, masks, miss_flips, scores):
+                if sc.defined:
+                    neighbor = mask ^ (1 << v)
+                    seen[neighbor] = sc
+                    delta = sc.value - values[r]
+                    if delta >= 0.0 or step_draws[r] < exp(delta / temperature):
+                        current[r] = neighbor
+                        values[r] = sc.value
+        temperature *= schedule.cooling_factor
     return _result(evaluator, seen, evaluations, rng_seed, "sa", top_k)
 
 

@@ -1,4 +1,6 @@
 """Shared hypothesis strategies: small random digraphs, seed sets and cost specs."""
+import random
+
 from hypothesis import strategies as st
 
 from critset.cost import CONST, OVER_N, CoefficientFn, CostSpec
@@ -46,6 +48,18 @@ def star_graphs(draw, max_leaves=9):
     k = draw(st.integers(1, max_leaves))
     ids = ["hub"] + [f"leaf{i}" for i in range(k)]
     return Graph(ids, [("hub", leaf) for leaf in ids[1:]])
+
+
+@st.composite
+def wide_graphs(draw, min_nodes=64, max_nodes=80):
+    """Random weighted digraphs too wide for int64 masks, built from a
+    drawn seed (drawing each of thousands of node pairs would be slow)."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    ids = [f"v{i}" for i in range(n)]
+    pairs = rnd.sample([(s, t) for s in ids for t in ids], rnd.randint(0, 2 * n))
+    nodes = [(v, rnd.uniform(0.1, 10.0)) for v in ids]
+    return Graph(nodes, [(s, t, rnd.uniform(0.1, 10.0)) for s, t in pairs])
 
 
 @st.composite

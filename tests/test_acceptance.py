@@ -287,8 +287,6 @@ def test_criterion_8_cli_determinism(demo_graph_file, cli_env):
         "sa",
         "--rng-seed",
         "7",
-        "--workers",
-        "1",
     ]
     first_tsv, second_tsv = _run_twice([*base, "--format", "tsv"], cli_env)
     assert first_tsv == second_tsv

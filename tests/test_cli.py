@@ -179,6 +179,20 @@ def test_genlog_bad_bounds(tmp_path, capsys):
     assert main(["gen-log", str(tmp_path / "x.csv"), "--nodes", "1", "--transactions", "5"]) == 1
 
 
+def test_analyze_sa_finds_a_start_under_a_narrow_gate(tmp_path, capsys):
+    # About 1,800 of the 2^60 subsets pass the gate, so random starts all
+    # fail; annealing must fall back to single-node starts, not exit 2.
+    log, graph_file = tmp_path / "gen.csv", tmp_path / "gen.graph"
+    assert main(["gen-log", str(log), "--nodes", "60", "--transactions", "120", "--rng-seed", "1"]) == 0
+    assert main(["ingest", str(log), str(graph_file)]) == 0
+    argv = ["analyze", "--graph", str(graph_file), "--optimizer", "sa", "--gate", "cardinality:1:2"]
+    assert main([*argv, "--format", "json"]) == 0
+    best = json.loads(capsys.readouterr().out)["ranked"][0]
+    assert 1 <= best["n"] <= 2
+    assert best["gate_degree"] == 1.0
+    assert best["score"] is not None
+
+
 def test_cli_entrypoint_subprocess(demo_graph_file, run_cli):
     proc = run_cli("analyze", "--graph", demo_graph_file, "--top", "2")
     assert proc.stdout.splitlines()[1].split("\t")[1] == "1,4,6"

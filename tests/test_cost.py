@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from critset import constraints
 from critset.constraints import UnknownConstraintError, same_component
 from critset.cost import (
     CoefficientFn,
@@ -21,7 +22,7 @@ from critset.cost import (
 from critset.graphs import MEASURE_MODES, Graph
 from critset.taint import soil
 
-from .strategies import graphs, graphs_and_seeds
+from .strategies import cost_specs, graphs, graphs_and_seeds
 
 SAME_COMPONENT_GATE = CostSpec(gates=(("same-component", 1.0),))
 
@@ -277,8 +278,8 @@ def test_same_component_gate_via_evaluator(case):
 @given(graphs(), st.sampled_from(MEASURE_MODES), st.data())
 @settings(max_examples=300, deadline=None)
 def test_flip_scoring_equals_evaluate_mask(g, mode, data):
-    # A random flip walk on a tiny cache: every flip's score must equal,
-    # exactly, a fresh evaluator's score of the flipped mask.
+    # Random flip walks side by side on a tiny cache: every flip's score
+    # must equal, exactly, a fresh evaluator's score of the flipped mask.
     assume(mode == "node" or g.n_edges)
     spec = CostSpec(
         beta=over_n(2.0),
@@ -288,14 +289,35 @@ def test_flip_scoring_equals_evaluate_mask(g, mode, data):
     )
     n = g.n_nodes
     ev = SubsetEvaluator(g, spec, cache_limit=3)
-    mask = data.draw(st.integers(1, (1 << n) - 1))
-    coverage = ev.coverage(mask)
-    walk = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=30))
-    for v, accept in walk:
-        flipped = mask ^ (1 << v)
-        if flipped == 0:
-            continue
-        assert ev.evaluate_flip(mask, v, coverage) == SubsetEvaluator(g, spec).evaluate_mask(flipped)
-        assert np.array_equal(coverage.counts, ev.coverage(coverage.mask).counts)
-        if accept:
-            mask = flipped
+    subsets = st.integers(1, (1 << n) - 1)
+    masks = data.draw(st.lists(subsets, min_size=2, max_size=4))
+    coverage = ev.coverage(masks)
+    # Per walk and step: the node to flip, whether to accept, and sometimes
+    # a jump elsewhere first, so that a row's counts lag by several seeds.
+    action = st.tuples(st.integers(0, n - 1), st.booleans(), st.none() | subsets)
+    for step in data.draw(st.lists(st.lists(action, min_size=len(masks), max_size=len(masks)), max_size=20)):
+        masks = [jump or mask for mask, (_, _, jump) in zip(masks, step)]
+        rows = [r for r, (v, _, _) in enumerate(step) if masks[r] != 1 << v]
+        flips = [step[r][0] for r in rows]
+        fresh = [SubsetEvaluator(g, spec).evaluate_mask(masks[r] ^ (1 << v)) for r, v in zip(rows, flips)]
+        assert ev.evaluate_flips(coverage, rows, [masks[r] for r in rows], flips) == fresh
+        for mask, counts in zip(coverage.masks, coverage.counts):
+            assert np.array_equal(counts, ev.coverage([mask]).counts[0])
+        for r, v in zip(rows, flips):
+            if step[r][1]:
+                masks[r] ^= 1 << v
+
+
+@given(graphs(max_nodes=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_score_tail_equals_gated_cost(g, data):
+    # The evaluator scores from per-size tables and compiled predicates;
+    # gated_cost on frozensets of ids is the reference, bit for bit.
+    spec = data.draw(cost_specs(g))
+    ev = SubsetEvaluator(g, spec)
+    for mask in range(1, 1 << g.n_nodes):
+        got = ev.evaluate_mask(mask)
+        seeds = ev.seeds_of(mask)
+        degrees = [constraints.resolve(cid).evaluate(g, seeds) for cid, _ in spec.gates]
+        cvals = [constraints.resolve(cid).evaluate(g, seeds) for _, cid in spec.penalties]
+        assert got == gated_cost(got.soiled, len(seeds), g.n_nodes, spec, degrees, cvals)

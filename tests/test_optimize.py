@@ -1,5 +1,7 @@
+import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from critset.optimize import (
 )
 from critset.taint import soil
 
-from .strategies import cost_specs, edgeless_graphs, graphs, star_graphs
+from .strategies import cost_specs, edgeless_graphs, graphs, star_graphs, wide_graphs
 
 BETA_ONE = CostSpec()
 BETA_OVER_N = CostSpec(beta=over_n(2.0))
@@ -97,12 +99,6 @@ def test_anneal_deterministic(demo):
     a = anneal(demo, BETA_ONE, rng_seed=11)
     b = anneal(demo, BETA_ONE, rng_seed=11)
     assert a == b
-
-
-def test_anneal_worker_count_invariant(demo):
-    serial = anneal(demo, BETA_ONE, rng_seed=5, workers=1)
-    threaded = anneal(demo, BETA_ONE, rng_seed=5, workers=4)
-    assert serial == threaded
 
 
 def test_anneal_single_node_graph():
@@ -290,3 +286,80 @@ def test_exhaustive_block_cut_keeps_ties_across_blocks():
         assert _in_blocks_of_four(g, BETA_ONE, top_k) == expected
         straddled += _straddles_cut(everything, top_k)
     assert straddled >= 100
+
+
+def _walk_alone(g, spec, schedule, rng_seed, top_k):
+    # Reference: each restart in turn walks on its own stream, as a loop of
+    # single flips scored from scratch by evaluate_mask.
+    evaluator = SubsetEvaluator(g, spec)
+    n = g.n_nodes
+    seen = {}
+    evaluations = 0
+    for r in range(schedule.restarts):
+        rng = np.random.default_rng([rng_seed, r])
+        current, score, used = optimize._feasible_start(evaluator, rng, n)
+        evaluations += used
+        seen[current] = score
+        temperature = schedule.initial_temperature
+        while temperature >= schedule.minimum_temperature:
+            flips = rng.integers(0, n, schedule.steps_per_temperature).tolist()
+            draws = rng.random(schedule.steps_per_temperature).tolist()
+            for v, draw in zip(flips, draws):
+                neighbor = current ^ (1 << v)
+                if neighbor == 0:
+                    continue
+                sc = evaluator.evaluate_mask(neighbor)
+                evaluations += 1
+                if not sc.defined:
+                    continue
+                seen[neighbor] = sc
+                delta = sc.value - score.value
+                if delta >= 0.0 or draw < math.exp(delta / temperature):
+                    current, score = neighbor, sc
+            temperature *= schedule.cooling_factor
+    return optimize._result(evaluator, seen, evaluations, rng_seed, "sa", top_k)
+
+
+short_schedules = st.builds(
+    AnnealingSchedule,
+    initial_temperature=st.sampled_from([0.05, 0.3, 1.0]),
+    cooling_factor=st.sampled_from([0.5, 0.8]),
+    steps_per_temperature=st.integers(1, 6),
+    minimum_temperature=st.sampled_from([0.02, 0.1]),
+    restarts=st.integers(1, 4),
+)
+
+
+def _lockstep_equals_walking_alone(g, data, cache_limit=None):
+    spec = data.draw(cost_specs(g))
+    schedule = data.draw(short_schedules)
+    rng_seed = data.draw(st.integers(0, 2**32))
+    top_k = data.draw(st.integers(1, 12))
+    with pytest.MonkeyPatch.context() as patch:
+        if cache_limit is not None:
+            patch.setattr(optimize, "SubsetEvaluator", functools.partial(SubsetEvaluator, cache_limit=cache_limit))
+        got = _outcome(functools.partial(anneal, top_k=top_k), g, spec, schedule, rng_seed)
+    assert got == _outcome(_walk_alone, g, spec, schedule, rng_seed, top_k)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_anneal_equals_restarts_walking_alone(data):
+    g = data.draw(st.one_of(graphs(max_nodes=7), edgeless_graphs(7), star_graphs(6)))
+    _lockstep_equals_walking_alone(g, data, cache_limit=data.draw(st.sampled_from([None, 3])))
+
+
+@given(wide_graphs(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_anneal_equals_restarts_walking_alone_past_64_nodes(g, data):
+    # Masks no longer fit in an int64; the walk stays on Python ints.
+    _lockstep_equals_walking_alone(g, data, cache_limit=3)
+
+
+def test_anneal_single_node_graph_equals_walking_alone():
+    # Every flip of the only node would empty the subset, so no move is made.
+    g = Graph(["only"])
+    schedule = AnnealingSchedule(steps_per_temperature=3, minimum_temperature=0.1, restarts=3)
+    result = anneal(g, BETA_ONE, schedule, rng_seed=4)
+    assert result == _walk_alone(g, BETA_ONE, schedule, 4, 10)
+    assert result.evaluations == 3
