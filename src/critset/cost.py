@@ -17,11 +17,13 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import constraints as _constraints
-from .graphs import MEASURE_MODES, Graph, GraphError, total_weight
+from .graphs import MEASURE_MODES, Graph, _bits, _closure, _successor_indices, total_weight
 from .taint import seed_set
 
 CONST = "const"
 OVER_N = "inv"
+# Scores a SubsetEvaluator caches before it clears its cache and starts over.
+SCORE_CACHE_LIMIT = 1 << 18
 
 
 class CostConfigError(ValueError):
@@ -213,14 +215,13 @@ class SubsetEvaluator:
     Constraints are compiled once into mask predicates for all of these.
     """
 
-    def __init__(self, graph: Graph, spec: CostSpec, cache_limit: int = 1 << 18):
+    def __init__(self, graph: Graph, spec: CostSpec):
         self.graph = graph
         self.spec = spec
         self._ids = graph.node_ids
         self._index = {v: i for i, v in enumerate(self._ids)}
         self._n_total = graph.n_nodes
         self._cache: dict[int, Score] = {}
-        self._cache_limit = cache_limit
         # cached(mask): the cached Score of mask, or None; clearing keeps the dict.
         self.cached = self._cache.get
 
@@ -229,20 +230,8 @@ class SubsetEvaluator:
         self._tau = max((tau for _, tau in spec.gates), default=0.0)
         self._penalties = tuple((eps, _constraints.resolve(cid).compile(graph)) for eps, cid in spec.penalties)
 
-        succ = [[self._index[u] for u in graph.successors(v)] for v in self._ids]
-        reach: list[int] = []
-        for start in range(self._n_total):
-            seen = 1 << start
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in succ[v]:
-                    bit = 1 << u
-                    if not seen & bit:
-                        seen |= bit
-                        stack.append(u)
-            reach.append(seen)
-        self._reach = reach
+        succ = _successor_indices(graph)
+        self._reach = [_closure(succ, (v,)) for v in range(self._n_total)]
 
         if spec.mode == "node":
             self._weight = [graph.node_weight(v) for v in self._ids]
@@ -384,7 +373,7 @@ class SubsetEvaluator:
             score = Score(True, value, s, n, mu)
         else:
             score = Score(False, None, s, n, mu)
-        if len(self._cache) >= self._cache_limit:
+        if len(self._cache) >= SCORE_CACHE_LIMIT:
             self._cache.clear()
         self._cache[mask] = score
         return score
@@ -441,13 +430,6 @@ class SubsetEvaluator:
         alpha = [math.nan, *(self.spec.alpha(n) for n in sizes)]
         size_term = [math.nan, *(_size_term(self.spec, n, self._n_total) for n in sizes)]
         return alpha, size_term
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _parse_coefficient(value: str) -> CoefficientFn:

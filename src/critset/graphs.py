@@ -3,7 +3,7 @@
 Node ids are plain string tokens. Node and edge weights are finite and
 strictly positive, and so are their totals; at most one edge may join an
 ordered (source, target) pair.
-Graphs are immutable once built and safe to share across workers.
+Graphs are immutable once built; reachability is computed here, as bit masks.
 """
 from __future__ import annotations
 
@@ -28,12 +28,6 @@ class GraphParseError(GraphError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-def _check_id(node_id) -> str:
-    if not isinstance(node_id, str) or not node_id or node_id.split() != [node_id]:
-        raise GraphError(f"node id must be a non-empty token without whitespace, got {node_id!r}")
-    return node_id
 
 
 def _check_weight(value, what: str) -> float:
@@ -63,16 +57,23 @@ class Graph:
     __slots__ = ("_node_w", "_edge_w", "_succ", "_total_node_w", "_total_edge_w", "_hash")
 
     def __init__(self, nodes: Iterable[NodeSpec], edges: Iterable[EdgeSpec] = ()):
+        # Records are checked one at a time, in order, and so are the running
+        # totals: parse_graph names the line of the record being read.
         node_w: dict[str, float] = {}
+        running = 0.0
         for spec in nodes:
             node_id, w = (spec, 1.0) if isinstance(spec, str) else spec
-            node_id = _check_id(node_id)
+            if not isinstance(node_id, str) or not node_id or node_id.split() != [node_id]:
+                raise GraphError(f"node id must be a non-empty token without whitespace, got {node_id!r}")
             if node_id in node_w:
                 raise GraphError(f"duplicate node id {node_id!r}")
-            node_w[node_id] = _check_weight(w, f"node {node_id!r}")
+            what = f"node {node_id!r}"
+            node_w[node_id] = _check_weight(w, what)
+            running = _add_to_total(running, node_w[node_id], what)
 
         edge_w: dict[tuple[str, str], float] = {}
         succ: dict[str, list[str]] = {v: [] for v in node_w}
+        running = 0.0
         for spec in edges:
             if len(spec) == 2:
                 src, dst, w = spec[0], spec[1], 1.0
@@ -83,12 +84,16 @@ class Graph:
                     raise GraphError(f"edge ({src!r}, {dst!r}) references undeclared node {endpoint!r}")
             if (src, dst) in edge_w:
                 raise GraphError(f"duplicate edge ({src!r}, {dst!r})")
-            edge_w[(src, dst)] = _check_weight(w, f"edge ({src!r}, {dst!r})")
+            what = f"edge ({src!r}, {dst!r})"
+            edge_w[(src, dst)] = _check_weight(w, what)
+            running = _add_to_total(running, edge_w[(src, dst)], what)
             succ[src].append(dst)
 
         self._node_w = node_w
         self._edge_w = edge_w
         self._succ = {v: tuple(ts) for v, ts in succ.items()}
+        # sum() rather than the running totals: from Python 3.12 it
+        # compensates rounding, so the two can differ in the last bits.
         self._total_node_w = sum(node_w.values())
         self._total_edge_w = sum(edge_w.values())
         if not (math.isfinite(self._total_node_w) and math.isfinite(self._total_edge_w)):
@@ -164,28 +169,51 @@ class ComponentPartition:
 @lru_cache(maxsize=128)
 def weak_components(g: Graph) -> ComponentPartition:
     """Partition nodes by connectivity in the undirected view of ``g``."""
-    neighbors: dict[str, set[str]] = {v: set() for v in g.node_ids}
+    ids = g.node_ids
+    index = {v: i for i, v in enumerate(ids)}
+    neighbors: list[list[int]] = [[] for _ in ids]
     for src, dst, _ in g.edges:
-        neighbors[src].add(dst)
-        neighbors[dst].add(src)
+        neighbors[index[src]].append(index[dst])
+        neighbors[index[dst]].append(index[src])
 
     component_of: dict[str, int] = {}
     components: list[frozenset[str]] = []
-    for start in g.node_ids:
+    for i, start in enumerate(ids):
         if start in component_of:
             continue
-        index = len(components)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            component_of[v] = index
-            for u in neighbors[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        components.append(frozenset(seen))
+        members = frozenset(ids[j] for j in _bits(_closure(neighbors, (i,))))
+        component_of.update(dict.fromkeys(members, len(components)))
+        components.append(members)
     return ComponentPartition(tuple(components), component_of)
+
+
+def _successor_indices(g: Graph) -> list[list[int]]:
+    """Entry i lists the indices of the successors of ``g.node_ids[i]``."""
+    index = {v: i for i, v in enumerate(g.node_ids)}
+    return [[index[u] for u in g.successors(v)] for v in g.node_ids]
+
+
+def _closure(adjacency: list[list[int]], starts: Iterable[int]) -> int:
+    """Bit mask of the indices reachable from ``starts`` along ``adjacency``,
+    the starts included: bit i set means index i is reached."""
+    stack = list(starts)
+    seen = sum({1 << v for v in stack})
+    while stack:
+        v = stack.pop()
+        for u in adjacency[v]:
+            bit = 1 << u
+            if not seen & bit:
+                seen |= bit
+                stack.append(u)
+    return seen
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def total_weight(g: Graph, mode: str = "node") -> float:
@@ -228,37 +256,19 @@ def parse_graph(text: str) -> Graph:
                 raise
             raise GraphParseError(line_no, f"bad weight in {line!r}") from None
 
-    node_w: dict[str, float] = {}
-    node_total = 0.0
-    for node_id, w, line_no in nodes:
-        try:
-            _check_id(node_id)
-            if node_id in node_w:
-                raise GraphError(f"duplicate node id {node_id!r}")
-            what = f"node {node_id!r}"
-            node_w[node_id] = _check_weight(w, what)
-            node_total = _add_to_total(node_total, w, what)
-        except GraphError as exc:
-            raise GraphParseError(line_no, str(exc)) from None
+    # Graph reads the records one at a time, nodes first, so the line of
+    # the record it was reading when it raised is the line at fault.
+    reading = [0]
 
-    edges: list[tuple[str, str, float]] = []
-    seen_pairs: set[tuple[str, str]] = set()
-    edge_total = 0.0
-    for src, dst, w, line_no in edge_lines:
-        try:
-            for endpoint in (src, dst):
-                if endpoint not in node_w:
-                    raise GraphError(f"edge references undeclared node {endpoint!r}")
-            if (src, dst) in seen_pairs:
-                raise GraphError(f"duplicate edge ({src!r}, {dst!r})")
-            seen_pairs.add((src, dst))
-            what = f"edge ({src!r}, {dst!r})"
-            edges.append((src, dst, _check_weight(w, what)))
-            edge_total = _add_to_total(edge_total, w, what)
-        except GraphError as exc:
-            raise GraphParseError(line_no, str(exc)) from None
+    def specs(records):
+        for *spec, line_no in records:
+            reading[0] = line_no
+            yield tuple(spec)
 
-    return Graph(node_w.items(), edges)
+    try:
+        return Graph(specs(nodes), specs(edge_lines))
+    except GraphError as exc:
+        raise GraphParseError(reading[0], str(exc)) from None
 
 
 def serialize_graph(g: Graph) -> str:

@@ -132,20 +132,19 @@ def exhaustive_search(
     top_k: int = 10,
     *,
     rng_seed: int = 0,
-    node_cap: int = EXHAUSTIVE_NODE_CAP,
 ) -> SearchResult:
     """Evaluate every nonempty subset; the returned best is the true
     global maximum among defined scores.
 
     Deterministic, and independent of ``rng_seed`` (recorded only).
-    Refuses graphs beyond ``node_cap`` nodes rather than sampling.
+    Refuses graphs beyond ``EXHAUSTIVE_NODE_CAP`` nodes rather than sampling.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     n = g.n_nodes
-    if n > node_cap:
+    if n > EXHAUSTIVE_NODE_CAP:
         raise ValueError(
-            f"exhaustive search over {n} nodes would take 2^{n} evaluations; cap is {node_cap}"
+            f"exhaustive search over {n} nodes would take 2^{n} evaluations; cap is {EXHAUSTIVE_NODE_CAP}"
         )
     evaluator = SubsetEvaluator(g, spec)
     # Mask (high << low_bits) | low has as closure the OR of those of its
@@ -184,8 +183,10 @@ def _at_or_above(scores: ScoreArrays, cut) -> np.ndarray:
 
 
 def _feasible_start(evaluator, rng, n):
-    """A gate-feasible start, its score and the evaluations it counts (1):
-    uniformly random subsets first, then the singletons in a random order."""
+    """A gate-feasible start, its score and the number of subsets scored to
+    find it: uniformly random subsets first, then the singletons in a
+    random order."""
+    used = 0
     for _ in range(_MAX_START_ATTEMPTS):
         bits = np.flatnonzero(rng.integers(0, 2, n))
         if bits.size == 0:
@@ -194,14 +195,16 @@ def _feasible_start(evaluator, rng, n):
         for i in bits.tolist():
             mask |= 1 << i
         score = evaluator.evaluate_mask(mask)
+        used += 1
         if score.defined:
-            return mask, score, 1
+            return mask, score, used
     # Random subsets hold about n/2 seeds, which a gate on size or on
     # components can rule out almost everywhere.
     for v in rng.permutation(n).tolist():
         score = evaluator.evaluate_mask(1 << v)
+        used += 1
         if score.defined:
-            return 1 << v, score, 1
+            return 1 << v, score, used
     raise InfeasibleSearchError(
         f"no gate-feasible starting subset found in {_MAX_START_ATTEMPTS} random attempts"
         f" or among the {n} single-node subsets"
@@ -305,8 +308,9 @@ def evolve(
 
     Gate-undefined individuals get fitness below every defined score, so
     they lose tournaments to any defined rival and are never kept as
-    elites over a defined one. Empty offspring are repaired by setting
-    one random bit.
+    elites over a defined one. If the whole first population is undefined,
+    individual 0 is replaced by a feasible start as annealing finds one.
+    Empty offspring are repaired by setting one random bit.
     """
     n = g.n_nodes
     evaluator = SubsetEvaluator(g, spec)
@@ -339,6 +343,12 @@ def evolve(
         return fitness
 
     fitness = assess(population)
+    if max(fitness) == -math.inf:
+        mask, score, used = _feasible_start(evaluator, rng, n)
+        population[0] = [mask >> i & 1 for i in range(n)]
+        fitness[0] = score.value
+        seen[mask] = score
+        evaluations += used
     for _ in range(params.generations):
         order = sorted(range(pop_size), key=lambda i: (-fitness[i], i))
         elites = [i for i in order if fitness[i] > -math.inf][: params.elitism_count]

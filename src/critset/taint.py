@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import MEASURE_MODES, Graph, GraphError, total_weight
+from .graphs import Graph, _bits, _closure, _successor_indices, total_weight
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,11 @@ def propagate(g: Graph, nodes: Iterable[str]) -> SoiledReport:
     appears at most once.
     """
     seeds = seed_set(g, nodes)
-    soiled = set(seeds)
-    stack = list(seeds)
-    while stack:
-        v = stack.pop()
-        for u in g.successors(v):
-            if u not in soiled:
-                soiled.add(u)
-                stack.append(u)
+    ids = g.node_ids
+    starts = [i for i, v in enumerate(ids) if v in seeds]
+    soiled = frozenset(ids[i] for i in _bits(_closure(_successor_indices(g), starts)))
     soiled_edges = frozenset((s, t) for s, t, _ in g.edges if s in soiled)
-    return SoiledReport(seeds, frozenset(soiled), soiled_edges)
+    return SoiledReport(seeds, soiled, soiled_edges)
 
 
 def soiled_measure(g: Graph, report: SoiledReport, mode: str = "node") -> float:
@@ -63,8 +58,6 @@ def soiled_measure(g: Graph, report: SoiledReport, mode: str = "node") -> float:
     ``mode="node"`` weighs soiled nodes, ``mode="edge"`` weighs soiled
     edges (each counted once even across cycles). Always in [0, 1].
     """
-    if mode not in MEASURE_MODES:
-        raise GraphError(f"unknown measure mode {mode!r}; expected one of {MEASURE_MODES}")
     total = total_weight(g, mode)
     if mode == "node":
         members = report.soiled_nodes

@@ -179,13 +179,14 @@ def test_genlog_bad_bounds(tmp_path, capsys):
     assert main(["gen-log", str(tmp_path / "x.csv"), "--nodes", "1", "--transactions", "5"]) == 1
 
 
-def test_analyze_sa_finds_a_start_under_a_narrow_gate(tmp_path, capsys):
+@pytest.mark.parametrize("optimizer", ["sa", "ga"])
+def test_analyze_sa_finds_a_start_under_a_narrow_gate(tmp_path, capsys, optimizer):
     # About 1,800 of the 2^60 subsets pass the gate, so random starts all
-    # fail; annealing must fall back to single-node starts, not exit 2.
+    # fail; both heuristics must fall back to single-node starts, not exit 2.
     log, graph_file = tmp_path / "gen.csv", tmp_path / "gen.graph"
     assert main(["gen-log", str(log), "--nodes", "60", "--transactions", "120", "--rng-seed", "1"]) == 0
     assert main(["ingest", str(log), str(graph_file)]) == 0
-    argv = ["analyze", "--graph", str(graph_file), "--optimizer", "sa", "--gate", "cardinality:1:2"]
+    argv = ["analyze", "--graph", str(graph_file), "--optimizer", optimizer, "--gate", "cardinality:1:2"]
     assert main([*argv, "--format", "json"]) == 0
     best = json.loads(capsys.readouterr().out)["ranked"][0]
     assert 1 <= best["n"] <= 2

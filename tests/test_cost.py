@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from critset import constraints
+from critset import constraints, cost
 from critset.constraints import UnknownConstraintError, same_component
 from critset.cost import (
     CoefficientFn,
@@ -287,25 +287,27 @@ def test_flip_scoring_equals_evaluate_mask(g, mode, data):
         penalties=((0.7, "fuzzy-small:3"),),
         mode=mode,
     )
-    n = g.n_nodes
-    ev = SubsetEvaluator(g, spec, cache_limit=3)
-    subsets = st.integers(1, (1 << n) - 1)
-    masks = data.draw(st.lists(subsets, min_size=2, max_size=4))
-    coverage = ev.coverage(masks)
-    # Per walk and step: the node to flip, whether to accept, and sometimes
-    # a jump elsewhere first, so that a row's counts lag by several seeds.
-    action = st.tuples(st.integers(0, n - 1), st.booleans(), st.none() | subsets)
-    for step in data.draw(st.lists(st.lists(action, min_size=len(masks), max_size=len(masks)), max_size=20)):
-        masks = [jump or mask for mask, (_, _, jump) in zip(masks, step)]
-        rows = [r for r, (v, _, _) in enumerate(step) if masks[r] != 1 << v]
-        flips = [step[r][0] for r in rows]
-        fresh = [SubsetEvaluator(g, spec).evaluate_mask(masks[r] ^ (1 << v)) for r, v in zip(rows, flips)]
-        assert ev.evaluate_flips(coverage, rows, [masks[r] for r in rows], flips) == fresh
-        for mask, counts in zip(coverage.masks, coverage.counts):
-            assert np.array_equal(counts, ev.coverage([mask]).counts[0])
-        for r, v in zip(rows, flips):
-            if step[r][1]:
-                masks[r] ^= 1 << v
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cost, "SCORE_CACHE_LIMIT", 3)
+        n = g.n_nodes
+        ev = SubsetEvaluator(g, spec)
+        subsets = st.integers(1, (1 << n) - 1)
+        masks = data.draw(st.lists(subsets, min_size=2, max_size=4))
+        coverage = ev.coverage(masks)
+        # Per walk and step: the node to flip, whether to accept, and sometimes
+        # a jump elsewhere first, so that a row's counts lag by several seeds.
+        action = st.tuples(st.integers(0, n - 1), st.booleans(), st.none() | subsets)
+        for step in data.draw(st.lists(st.lists(action, min_size=len(masks), max_size=len(masks)), max_size=20)):
+            masks = [jump or mask for mask, (_, _, jump) in zip(masks, step)]
+            rows = [r for r, (v, _, _) in enumerate(step) if masks[r] != 1 << v]
+            flips = [step[r][0] for r in rows]
+            fresh = [SubsetEvaluator(g, spec).evaluate_mask(masks[r] ^ (1 << v)) for r, v in zip(rows, flips)]
+            assert ev.evaluate_flips(coverage, rows, [masks[r] for r in rows], flips) == fresh
+            for mask, counts in zip(coverage.masks, coverage.counts):
+                assert np.array_equal(counts, ev.coverage([mask]).counts[0])
+            for r, v in zip(rows, flips):
+                if step[r][1]:
+                    masks[r] ^= 1 << v
 
 
 @given(graphs(max_nodes=6), st.data())

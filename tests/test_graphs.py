@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critset.graphs import (
+    MEASURE_MODES,
     Graph,
     GraphError,
     GraphParseError,
@@ -89,6 +90,45 @@ def test_non_finite_weight_error_names_its_line(text, line_no):
     with pytest.raises(GraphParseError, match="finite") as err:
         parse_graph(text)
     assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "text,line_no,fragment",
+    [
+        ("node a\n# c\nnode b\nnode a", 4, "duplicate node"),
+        ("node a\nnode b\nedge a b\nedge b c", 4, "undeclared node 'c'"),
+        ("node a\nnode b\nedge a b\nedge b a\nedge a b", 5, "duplicate edge"),
+        ("node a\nnode b 0\nedge a b", 2, "non-positive"),
+        ("node a\nnode b\nedge a b\nedge b a -1", 4, "non-positive"),
+        ("node a\nnode b\nedge a b nan\nedge b a", 3, "non-finite weight"),
+        ("node a\nnode b\nedge a b 1e308\nedge b b\nedge b a 1e308", 5, "total non-finite"),
+    ],
+)
+def test_graph_errors_name_the_line_of_their_record(text, line_no, fragment):
+    with pytest.raises(GraphParseError, match=fragment) as err:
+        parse_graph(text)
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: ")
+
+
+@given(
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=30),
+    st.integers(1, 10**6),
+    st.sampled_from(MEASURE_MODES),
+)
+@settings(max_examples=200)
+def test_parsed_totals_equal_sum_of_fractional_weights(counts, total, mode):
+    # Weights count/total, as ingest writes them; the stored totals are
+    # sum()'s, which from Python 3.12 differs from a running total.
+    weights = [c / total for c in counts]
+    names = [f"v{i}" for i in range(len(weights))]
+    if mode == "node":
+        lines = [f"node {v} {w!r}" for v, w in zip(names, weights)]
+    else:
+        # A chain v0 -> v1 -> ... plus a self-loop on the last node.
+        lines = [f"node {v}" for v in names]
+        lines += [f"edge {v} {u} {w!r}" for v, u, w in zip(names, [*names[1:], names[-1]], weights)]
+    assert total_weight(parse_graph("\n".join(lines)), mode) == sum(weights)
 
 
 def test_constructor_rejects_bad_ids():
@@ -188,6 +228,33 @@ def test_weak_components_ignore_edge_direction(g, data):
     original = {frozenset(c) for c in weak_components(g).components}
     flipped = {frozenset(c) for c in weak_components(reversed_g).components}
     assert original == flipped
+
+
+def _components_by_fixpoint(g):
+    # Independent oracle: every node starts with its own label, and each
+    # edge pulls both endpoints down to the smaller label until nothing moves.
+    label = {v: i for i, v in enumerate(g.node_ids)}
+    changed = True
+    while changed:
+        changed = False
+        for s, t, _ in g.edges:
+            low = min(label[s], label[t])
+            if label[s] != low or label[t] != low:
+                label[s] = label[t] = low
+                changed = True
+    groups = {}
+    for v in g.node_ids:
+        groups.setdefault(label[v], set()).add(v)
+    return [frozenset(groups[k]) for k in sorted(groups)]
+
+
+@given(st.one_of(graphs(), graphs(max_nodes=20, weighted=False)))
+@settings(max_examples=300)
+def test_weak_components_match_fixpoint_oracle(g):
+    partition = weak_components(g)
+    # Components come in the order of their first node in node_ids.
+    assert list(partition.components) == _components_by_fixpoint(g)
+    assert partition.component_of == {v: i for i, c in enumerate(partition.components) for v in c}
 
 
 def test_graph_equality_and_hash():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critset import optimize
+from critset import cost, optimize
 from critset.constraints import same_component
 from critset.cost import CostSpec, SubsetEvaluator, gated_cost, over_n
 from critset.graphs import Graph
@@ -71,9 +71,10 @@ def test_exhaustive_ranking_is_sorted(demo):
     assert result.best == result.ranked[0]
 
 
-def test_exhaustive_node_cap(demo):
-    with pytest.raises(ValueError):
-        exhaustive_search(demo, BETA_ONE, node_cap=3)
+def test_exhaustive_node_cap():
+    g = Graph([f"v{i}" for i in range(optimize.EXHAUSTIVE_NODE_CAP + 1)])
+    with pytest.raises(ValueError, match="cap is"):
+        exhaustive_search(g, BETA_ONE)
 
 
 def test_exhaustive_infeasible(demo):
@@ -331,13 +332,15 @@ short_schedules = st.builds(
 
 
 def _lockstep_equals_walking_alone(g, data, cache_limit=None):
+    # A cache_limit forces cache misses during the walk; the reference
+    # below runs with the default limit.
     spec = data.draw(cost_specs(g))
     schedule = data.draw(short_schedules)
     rng_seed = data.draw(st.integers(0, 2**32))
     top_k = data.draw(st.integers(1, 12))
     with pytest.MonkeyPatch.context() as patch:
         if cache_limit is not None:
-            patch.setattr(optimize, "SubsetEvaluator", functools.partial(SubsetEvaluator, cache_limit=cache_limit))
+            patch.setattr(cost, "SCORE_CACHE_LIMIT", cache_limit)
         got = _outcome(functools.partial(anneal, top_k=top_k), g, spec, schedule, rng_seed)
     assert got == _outcome(_walk_alone, g, spec, schedule, rng_seed, top_k)
 
@@ -354,6 +357,24 @@ def test_anneal_equals_restarts_walking_alone(data):
 def test_anneal_equals_restarts_walking_alone_past_64_nodes(g, data):
     # Masks no longer fit in an int64; the walk stays on Python ints.
     _lockstep_equals_walking_alone(g, data, cache_limit=3)
+
+
+@pytest.mark.parametrize("n_nodes,rng_seed", [(2, 4), (2, 10), (2, 11), (30, 0)])
+def test_feasible_start_counts_the_subsets_it_scored(n_nodes, rng_seed):
+    # Only singletons pass the gate. On 2 nodes these streams draw both
+    # nodes three times (seed 4), both, none (not scored) and both again
+    # (seed 10), or none (seed 11) before a singleton; on 30 nodes every
+    # random draw fails and the singleton fallback finds the start.
+    g = Graph([f"v{i}" for i in range(n_nodes)])
+    evaluator = SubsetEvaluator(g, CostSpec(gates=(("cardinality:1:1", 1.0),)))
+    calls = []
+    evaluate_mask = evaluator.evaluate_mask
+    evaluator.evaluate_mask = lambda mask: calls.append(mask) or evaluate_mask(mask)
+    mask, score, used = optimize._feasible_start(evaluator, np.random.default_rng([rng_seed, 0]), n_nodes)
+    assert score.defined and mask.bit_count() == 1
+    assert used == len(calls)
+    if n_nodes == 30:
+        assert used == optimize._MAX_START_ATTEMPTS + 1
 
 
 def test_anneal_single_node_graph_equals_walking_alone():
