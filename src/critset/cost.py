@@ -185,34 +185,21 @@ class ScoreArrays(NamedTuple):
     def concat(self, other: ScoreArrays) -> ScoreArrays:
         return ScoreArrays(*map(np.concatenate, zip(self, other)))
 
-    def scores(self) -> dict[int, Score]:
-        """Each mask's ``Score``, in Python ints and floats."""
-        columns = zip(*(a.tolist() for a in self))
-        return {m: Score(True, value, s, n, mu) for m, value, s, n, mu in columns}
-
-
-@dataclass
-class Coverage:
-    """Per-node seed counts of several subsets, one row each: ``counts[r, u]``
-    is how many seeds of ``masks[r]`` reach node u."""
-
-    masks: list[int]
-    counts: np.ndarray
-
 
 class SubsetEvaluator:
-    """Scores seed subsets of one graph under one CostSpec, with caching.
+    """Scores seed subsets of one graph under one CostSpec.
 
     Subsets are encoded as bit masks over ``graph.node_ids`` (bit i is
     node i), which keeps the optimizers' inner loops cheap; reachability
     closures are precomputed per node. ``evaluate`` accepts plain node-id
-    iterables and matches propagate + gated_cost done by hand.
-    ``evaluate_flips`` scores one-node changes of several subsets at once
-    from their per-node ``coverage`` counts, sharing the cache (``cached``
-    looks a mask up in it) and the scoring tail.
-    ``evaluate_block`` scores many subsets at once from their closures,
-    which ``subset_closures`` enumerates; it bypasses the cache.
-    Constraints are compiled once into mask predicates for all of these.
+    iterables and matches propagate + gated_cost done by hand;
+    ``evaluate_mask`` scores one mask into a ``Score`` and caches it.
+    Two methods score many subsets at once, uncached, through one array
+    tail (size tables, gates, penalties, finiteness): ``flip_values``
+    scores one-node changes of several subsets from per-node coverage
+    counts, and ``evaluate_block`` scores subsets from their closures,
+    which ``subset_closures`` enumerates. Constraints are compiled once
+    into mask predicates for all of these.
     """
 
     def __init__(self, graph: Graph, spec: CostSpec):
@@ -222,8 +209,6 @@ class SubsetEvaluator:
         self._index = {v: i for i, v in enumerate(self._ids)}
         self._n_total = graph.n_nodes
         self._cache: dict[int, Score] = {}
-        # cached(mask): the cached Score of mask, or None; clearing keeps the dict.
-        self.cached = self._cache.get
 
         self._gate_preds = tuple(_constraints.resolve(cid).compile(graph) for cid, _ in spec.gates)
         # A score is defined when mu reaches every gate's tau: the largest one.
@@ -280,76 +265,67 @@ class SubsetEvaluator:
             score = self._score(mask, soiled_w)
         return score
 
-    def coverage(self, masks: Sequence[int]) -> Coverage:
-        """Per-node seed counts of ``masks``, one row each, as ``evaluate_flips`` takes them."""
-        counts = np.zeros((len(masks), self._n_total), dtype=np.int32)
-        for r, mask in enumerate(masks):
-            counts[r] = self._reach_steps[list(_bits(mask))].sum(axis=0, dtype=np.int32)
-        return Coverage(list(masks), counts)
-
     @cached_property
     def _reach_steps(self) -> np.ndarray:
         """What adding seed v does to coverage counts (row v: reach(v) as
-        0/1), and what removing it does (row N + v: the negation), as int8."""
+        0/1), what removing it does (row N + v: the negation), and a row of
+        zeros (row 2N) for no change, as int8."""
         n = self._n_total
         # Bit u of a little-endian integer is bit u % 8 of its byte u // 8.
         width = (n + 7) // 8
         packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self._reach), dtype=np.uint8)
         rows = np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n].astype(np.int8)
-        return np.concatenate((rows, -rows))
+        return np.concatenate((rows, -rows, np.zeros((1, n), dtype=np.int8)))
 
-    def evaluate_flips(
-        self, coverage: Coverage, rows: Sequence[int], masks: Sequence[int], flips: Sequence[int]
-    ) -> list[Score]:
-        """``evaluate_mask(masks[j] ^ (1 << flips[j]))`` for each j, where row
-        ``rows[j]`` of ``coverage`` counts a subset near ``masks[j]``; no row twice.
+    def flip_values(
+        self,
+        counts: np.ndarray,
+        row_masks: list[int],
+        masks: Sequence[int],
+        rows: Sequence[int],
+        flips: Sequence[int],
+    ) -> list[float | None]:
+        """The value of ``masks[rows[j]] ^ (1 << flips[j])`` for each j, or None
+        where a gate rules it out; bit for bit that of ``evaluate_mask``.
 
-        The cache misses are scored together. Each of their rows is first
-        moved to its mask by adding or removing the reach rows of the seeds
-        in which the two differ, so a walk that flips one node at a time pays
+        ``counts[r, u]`` is how many seeds of ``row_masks[r]`` reach node u
+        (all zero for the empty mask). Every row r is first moved to
+        ``masks[r]`` by adding or removing the reach rows of the seeds in
+        which the two differ, so a walk that flips one node at a time pays
         only for the moves it made. The closures then take O(N) array
-        operations per row rather than one reach set per seed, and the scores
-        are the same, bit for bit.
+        operations per row rather than one reach set per seed.
         """
         n = self._n_total
-        scores = []
-        misses = []
-        for j, (mask, v) in enumerate(zip(masks, flips)):
-            flipped = mask ^ (1 << v)
-            score = self._cache.get(flipped)
-            if score is None:
-                if flipped == 0 or flipped >> n:
-                    raise ValueError(f"mask {flipped:#x} is not a nonempty subset of the graph's nodes")
-                misses.append(j)
-            scores.append(score)
-        if not misses:
-            return scores
-        miss_rows, flip_steps, moved, steps = [], [], [], []
-        for j in misses:
-            r, mask, v = rows[j], masks[j], flips[j]
-            diff = coverage.masks[r] ^ mask
+        table = self._reach_steps
+        # Round k makes each row's k-th move, or none (row 2N of the table).
+        rounds: list[list[int]] = []
+        for r, mask in enumerate(masks):
+            diff = row_masks[r] ^ mask
+            k = 0
             while diff:
                 low = diff & -diff
                 u = low.bit_length() - 1
-                moved.append(r)
-                steps.append(u if mask & low else n + u)
+                if k == len(rounds):
+                    rounds.append([2 * n] * len(masks))
+                rounds[k][r] = u if mask & low else n + u
                 diff ^= low
-            coverage.masks[r] = mask
-            miss_rows.append(r)
-            flip_steps.append(n + v if mask >> v & 1 else v)
-        counts = coverage.counts
-        table = self._reach_steps
-        # take() gathers rows faster than fancy indexing does.
-        if len(set(moved)) == len(moved):
-            counts[moved] += table.take(steps, axis=0)
-        else:
-            np.add.at(counts, moved, table.take(steps, axis=0))
-        covered = counts.take(miss_rows, axis=0) + table.take(flip_steps, axis=0) > 0
+                k += 1
+            row_masks[r] = mask
+        for steps in rounds:
+            # take() gathers rows faster than fancy indexing does.
+            counts += table.take(steps, axis=0)
+        flipped = [masks[r] ^ (1 << v) for r, v in zip(rows, flips)]
+        # Row u undoes the flip of u when it removes u, row N + u when it adds
+        # u, and counts + step > 0 is counts > -step.
+        undo = [v if masks[r] >> v & 1 else n + v for r, v in zip(rows, flips)]
+        covered = counts.take(rows, axis=0) > table.take(undo, axis=0)
         # cumsum adds in ascending node order, as evaluate_mask does.
         soiled_w = np.where(covered, self._weight_arr, 0.0).cumsum(axis=1)[:, -1]
-        for j, w in zip(misses, soiled_w.tolist()):
-            scores[j] = self._score(masks[j] ^ (1 << flips[j]), w)
-        return scores
+        sizes = np.array([m.bit_count() for m in flipped], dtype=np.int64)
+        # Masks past 63 nodes do not fit in int64; the predicates take Python ints too.
+        mask_arr = np.array(flipped, dtype=np.int64 if n < 64 else object)
+        scores, defined = self._score_arrays(mask_arr, sizes, soiled_w)
+        return [v if d else None for v, d in zip(scores.value.tolist(), defined.tolist())]
 
     def _score(self, mask: int, soiled_w: float) -> Score:
         """Gates, penalties and cost for a mask whose soiled weight is known,
@@ -404,6 +380,12 @@ class SubsetEvaluator:
         for i, w in enumerate(self._weight):
             # Ascending node order, as evaluate_mask adds; adding 0.0 changes no sum.
             soiled_w += np.where((closures >> i) & 1, w, 0.0)
+        scores, defined = self._score_arrays(masks, sizes, soiled_w)
+        return scores.take(defined)
+
+    def _score_arrays(self, masks: np.ndarray, sizes: np.ndarray, soiled_w: np.ndarray) -> tuple[ScoreArrays, np.ndarray]:
+        """``_score`` over arrays, uncached: the scores of subsets whose masks,
+        sizes and soiled weights are given, and which of them are defined."""
         s = soiled_w / self._total
         mu = np.ones(len(masks))
         for pred in self._gate_preds:
@@ -413,14 +395,14 @@ class SubsetEvaluator:
                 raise ValueError(f"gate degree {degree[outside][0].item()!r} outside [0, 1]")
             mu = np.minimum(mu, degree)
         defined = mu >= self._tau
-        alpha, size_term = map(np.array, self._size_tables)
+        alpha, size_term = self._size_arrays
         value = alpha[sizes] * s * s + size_term[sizes]
         for eps, pred in self._penalties:
             value += eps * np.asarray(pred(masks, sizes), dtype=np.float64)
         not_finite = defined & ~np.isfinite(value)
         if not_finite.any():
             raise ValueError(f"cost value is not finite: {value[not_finite][0].item()!r}")
-        return ScoreArrays(masks, value, s, sizes, mu).take(defined)
+        return ScoreArrays(masks, value, s, sizes, mu), defined
 
     @cached_property
     def _size_tables(self) -> tuple[list[float], list[float]]:
@@ -430,6 +412,11 @@ class SubsetEvaluator:
         alpha = [math.nan, *(self.spec.alpha(n) for n in sizes)]
         size_term = [math.nan, *(_size_term(self.spec, n, self._n_total) for n in sizes)]
         return alpha, size_term
+
+    @cached_property
+    def _size_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_size_tables`` as float64 arrays."""
+        return tuple(map(np.array, self._size_tables))
 
 
 def _parse_coefficient(value: str) -> CoefficientFn:

@@ -32,8 +32,10 @@ class TransactionRecord:
     count: int = 1
 
     def __post_init__(self):
-        if not self.source or not self.target:
-            raise LogFormatError("transaction endpoints must be non-empty")
+        for endpoint in (self.source, self.target):
+            # The ids become node ids of the graph, which are whitespace-free tokens.
+            if not endpoint or endpoint.split() != [endpoint]:
+                raise LogFormatError(f"element id must be a non-empty token without whitespace, got {endpoint!r}")
         if self.count < 1:
             raise LogFormatError(f"transaction count must be >= 1, got {self.count}")
 

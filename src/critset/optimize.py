@@ -3,9 +3,12 @@
 Three searchers score subsets through a ``SubsetEvaluator``: exhaustive
 enumeration (exact, capped at 22 nodes), which scores all 2^N - 1
 subsets in numpy blocks from closures built by doubling; simulated
-annealing, whose restarts walk in lockstep so that each step scores
-the restarts' uncached one-node flips in one numpy pass over their
-coverage counts; and a genetic algorithm. The two randomized searchers are
+annealing, whose restarts walk in lockstep over one table of mask ->
+value (None where gated out) that is both their cache and the pool they
+rank, so that each step scores the flips missing from it in one numpy
+pass over the restarts' coverage counts; and a genetic algorithm. Each
+hands ``_result`` the values it found, and ``_result`` builds ``Score``s
+only for the masks that make the ranking. The two randomized searchers are
 heuristics; the test suite verifies them against the exhaustive result
 instead of assuming global optimality.
 All are deterministic for a fixed rng seed; annealing restarts draw
@@ -110,16 +113,21 @@ def rank_key(candidate: Candidate):
     return (-candidate.score.value, len(candidate.seeds), candidate.sorted_seeds)
 
 
-def _result(evaluator, seen, evaluations, rng_seed, optimizer, top_k) -> SearchResult:
+def _result(evaluator, values, evaluations, rng_seed, optimizer, top_k) -> SearchResult:
+    """Rank the masks of ``values`` (mask -> value, or None where gated out)."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    if not seen:
+    defined = [v for v in values.values() if v is not None]
+    if not defined:
         raise InfeasibleSearchError("no gate-feasible candidate was found")
-    # Only masks tied with the k-th on (score, size) can need the id
-    # tie-break, so seed sets are built for those and the ones before them.
-    cut = heapq.nsmallest(top_k, ((-sc.value, sc.n) for sc in seen.values()))[-1]
+    # The k-th on (score, size) has the k-th largest score. Only masks tied
+    # with it can need the id tie-break, so Scores and seed sets are built
+    # for those and the ones before them.
+    floor = heapq.nlargest(top_k, defined)[-1]
+    pool = [(-v, m.bit_count(), m) for m, v in values.items() if v is not None and v >= floor]
+    cut = heapq.nsmallest(top_k, pool)[-1][:2]
     candidates = [
-        Candidate(evaluator.seeds_of(m), sc) for m, sc in seen.items() if (-sc.value, sc.n) <= cut
+        Candidate(evaluator.seeds_of(m), evaluator.evaluate_mask(m)) for key, n, m in pool if (key, n) <= cut
     ]
     candidates.sort(key=rank_key)
     ranked = tuple(candidates[:top_k])
@@ -173,7 +181,8 @@ def exhaustive_search(
             kept = kept.take(_at_or_above(kept, cut))
     if len(kept.masks) == 0:
         raise InfeasibleSearchError("every subset is gated out; no defined candidate exists")
-    return _result(evaluator, kept.scores(), (1 << n) - 1, rng_seed, "exhaustive", top_k)
+    values = dict(zip(kept.masks.tolist(), kept.value.tolist()))
+    return _result(evaluator, values, (1 << n) - 1, rng_seed, "exhaustive", top_k)
 
 
 def _at_or_above(scores: ScoreArrays, cut) -> np.ndarray:
@@ -225,33 +234,41 @@ def anneal(
     flips one node's membership per step; moves that empty the set or
     fail a gate are rejected, worse moves are accepted with probability
     exp(delta/T). Restarts draw from independent RNG streams and walk in
-    lockstep, so each step scores their uncached flips in one batch; the
-    incumbent best is kept across them.
+    lockstep, so each step scores their unscored flips in one batch; the
+    incumbent best is kept across them. The search stops early once it
+    has scored every nonempty subset, when its ranking is exact.
     """
     evaluator = SubsetEvaluator(g, spec)
     n = evaluator.n_total
+    every_subset = (1 << n) - 1
     rngs = [np.random.default_rng([rng_seed, r]) for r in range(schedule.restarts)]
-    seen: dict[int, Score] = {}
+    # Every subset scored so far: its value, or None where a gate rules it
+    # out. It is both the search's cache and the pool it ranks.
+    table: dict[int, float | None] = {}
     current: list[int] = []
     values: list[float] = []
     evaluations = 0
     for rng in rngs:
         mask, score, used = _feasible_start(evaluator, rng, n)
-        seen[mask] = score
+        table[mask] = score.value
         current.append(mask)
         values.append(score.value)
         evaluations += used
-    coverage = evaluator.coverage(current)
+    # Per-node seed counts of each restart's mask as of the last step that
+    # had a miss: flip_values brings the rows up to date only on such steps.
+    counts = np.zeros((len(rngs), n), dtype=np.int32)
+    row_masks = [0] * len(rngs)
     steps = schedule.steps_per_temperature
     temperature = schedule.initial_temperature
     exp = math.exp
-    cached = evaluator.cached
-    while temperature >= schedule.minimum_temperature:
+    lookup = table.get
+    unscored = object()
+    while temperature >= schedule.minimum_temperature and len(table) < every_subset:
         # Each stream draws as a restart walking alone would: flips, then draws.
         flips = list(zip(*[rng.integers(0, n, steps).tolist() for rng in rngs]))
         draws = list(zip(*[rng.random(steps).tolist() for rng in rngs]))
         for step_flips, step_draws in zip(flips, draws):
-            # Restarts whose neighbour is cached move at once; the others'
+            # Restarts whose neighbour is scored move at once; the others'
             # neighbours are scored together, and then they move. A flip
             # that would empty the subset is no move.
             misses = []
@@ -260,31 +277,31 @@ def anneal(
                 if neighbor == 0:
                     continue
                 evaluations += 1
-                sc = cached(neighbor)
-                if sc is None:
+                value = lookup(neighbor, unscored)
+                if value is unscored:
                     misses.append(r)
-                elif sc.defined:
-                    seen[neighbor] = sc
-                    delta = sc.value - values[r]
+                elif value is not None:
+                    delta = value - values[r]
                     # math.exp, not np.exp: the two can differ in the last bit.
                     if delta >= 0.0 or draw < exp(delta / temperature):
                         current[r] = neighbor
-                        values[r] = sc.value
+                        values[r] = value
             if not misses:
                 continue
-            masks = [current[r] for r in misses]
             miss_flips = [step_flips[r] for r in misses]
-            scores = evaluator.evaluate_flips(coverage, misses, masks, miss_flips)
-            for r, mask, v, sc in zip(misses, masks, miss_flips, scores):
-                if sc.defined:
-                    neighbor = mask ^ (1 << v)
-                    seen[neighbor] = sc
-                    delta = sc.value - values[r]
+            scored = evaluator.flip_values(counts, row_masks, current, misses, miss_flips)
+            for r, v, value in zip(misses, miss_flips, scored):
+                neighbor = current[r] ^ (1 << v)
+                table[neighbor] = value
+                if value is not None:
+                    delta = value - values[r]
                     if delta >= 0.0 or step_draws[r] < exp(delta / temperature):
                         current[r] = neighbor
-                        values[r] = sc.value
+                        values[r] = value
+            if len(table) == every_subset:
+                break
         temperature *= schedule.cooling_factor
-    return _result(evaluator, seen, evaluations, rng_seed, "sa", top_k)
+    return _result(evaluator, table, evaluations, rng_seed, "sa", top_k)
 
 
 def _tournament(rng, fitness, size):
@@ -323,7 +340,7 @@ def evolve(
         if not population[row].any():
             population[row, rng.integers(0, n)] = 1
 
-    seen: dict[int, Score] = {}
+    seen: dict[int, float] = {}
     evaluations = 0
 
     def assess(pop):
@@ -336,7 +353,7 @@ def evolve(
             sc = evaluator.evaluate_mask(mask)
             evaluations += 1
             if sc.defined:
-                seen[mask] = sc
+                seen[mask] = sc.value
                 fitness.append(sc.value)
             else:
                 fitness.append(-math.inf)
@@ -347,7 +364,7 @@ def evolve(
         mask, score, used = _feasible_start(evaluator, rng, n)
         population[0] = [mask >> i & 1 for i in range(n)]
         fitness[0] = score.value
-        seen[mask] = score
+        seen[mask] = score.value
         evaluations += used
     for _ in range(params.generations):
         order = sorted(range(pop_size), key=lambda i: (-fitness[i], i))

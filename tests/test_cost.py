@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from critset import constraints, cost
+from critset import constraints
 from critset.constraints import UnknownConstraintError, same_component
 from critset.cost import (
     CoefficientFn,
@@ -19,10 +20,10 @@ from critset.cost import (
     over_n,
     parse_cost_config,
 )
-from critset.graphs import MEASURE_MODES, Graph
+from critset.graphs import MEASURE_MODES, Graph, _bits, _closure, _successor_indices
 from critset.taint import soil
 
-from .strategies import cost_specs, graphs, graphs_and_seeds
+from .strategies import cost_specs, graphs, graphs_and_seeds, wide_graphs
 
 SAME_COMPONENT_GATE = CostSpec(gates=(("same-component", 1.0),))
 
@@ -275,11 +276,44 @@ def test_same_component_gate_via_evaluator(case):
     assert ev.evaluate(seeds).defined == (same_component(g, seeds) == 1.0)
 
 
+def _walk_flips_side_by_side(g, spec, data):
+    # Random flip walks side by side: every flip's value must equal, bit for
+    # bit, a fresh evaluator's value of the flipped mask (None where gated
+    # out), and every counts row the counts of its walk's mask from scratch.
+    n = g.n_nodes
+    ev = SubsetEvaluator(g, spec)
+    succ = _successor_indices(g)
+    reach = [_closure(succ, (v,)) for v in range(n)]
+    subsets = st.integers(1, (1 << n) - 1)
+    masks = data.draw(st.lists(subsets, min_size=2, max_size=4))
+    counts = np.zeros((len(masks), n), dtype=np.int32)
+    row_masks = [0] * len(masks)
+    # Per walk and step: the node to flip, whether to accept, and sometimes
+    # a jump elsewhere first; per step, whether flips are scored at all (an
+    # unscored step accepts every flip), so that rows lag by several seeds.
+    action = st.tuples(st.integers(0, n - 1), st.booleans(), st.none() | subsets)
+    walk_step = st.tuples(st.lists(action, min_size=len(masks), max_size=len(masks)), st.booleans())
+    for step, scored in data.draw(st.lists(walk_step, max_size=20)):
+        masks = [jump or mask for mask, (_, _, jump) in zip(masks, step)]
+        rows = [r for r, (v, _, _) in enumerate(step) if masks[r] != 1 << v]
+        flips = [step[r][0] for r in rows]
+        if scored:
+            fresh = [SubsetEvaluator(g, spec).evaluate_mask(masks[r] ^ (1 << v)) for r, v in zip(rows, flips)]
+            got = ev.flip_values(counts, row_masks, masks, rows, flips)
+            assert [None if v is None else v.hex() for v in got] == [
+                sc.value.hex() if sc.defined else None for sc in fresh
+            ]
+            assert row_masks == masks
+            for mask, row in zip(masks, counts.tolist()):
+                assert row == [sum(reach[s] >> u & 1 for s in _bits(mask)) for u in range(n)]
+        for r, v in zip(rows, flips):
+            if step[r][1] or not scored:
+                masks[r] ^= 1 << v
+
+
 @given(graphs(), st.sampled_from(MEASURE_MODES), st.data())
 @settings(max_examples=300, deadline=None)
 def test_flip_scoring_equals_evaluate_mask(g, mode, data):
-    # Random flip walks side by side on a tiny cache: every flip's score
-    # must equal, exactly, a fresh evaluator's score of the flipped mask.
     assume(mode == "node" or g.n_edges)
     spec = CostSpec(
         beta=over_n(2.0),
@@ -287,27 +321,64 @@ def test_flip_scoring_equals_evaluate_mask(g, mode, data):
         penalties=((0.7, "fuzzy-small:3"),),
         mode=mode,
     )
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cost, "SCORE_CACHE_LIMIT", 3)
-        n = g.n_nodes
-        ev = SubsetEvaluator(g, spec)
-        subsets = st.integers(1, (1 << n) - 1)
-        masks = data.draw(st.lists(subsets, min_size=2, max_size=4))
-        coverage = ev.coverage(masks)
-        # Per walk and step: the node to flip, whether to accept, and sometimes
-        # a jump elsewhere first, so that a row's counts lag by several seeds.
-        action = st.tuples(st.integers(0, n - 1), st.booleans(), st.none() | subsets)
-        for step in data.draw(st.lists(st.lists(action, min_size=len(masks), max_size=len(masks)), max_size=20)):
-            masks = [jump or mask for mask, (_, _, jump) in zip(masks, step)]
-            rows = [r for r, (v, _, _) in enumerate(step) if masks[r] != 1 << v]
-            flips = [step[r][0] for r in rows]
-            fresh = [SubsetEvaluator(g, spec).evaluate_mask(masks[r] ^ (1 << v)) for r, v in zip(rows, flips)]
-            assert ev.evaluate_flips(coverage, rows, [masks[r] for r in rows], flips) == fresh
-            for mask, counts in zip(coverage.masks, coverage.counts):
-                assert np.array_equal(counts, ev.coverage([mask]).counts[0])
-            for r, v in zip(rows, flips):
-                if step[r][1]:
-                    masks[r] ^= 1 << v
+    _walk_flips_side_by_side(g, spec, data)
+
+
+@given(wide_graphs(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_flip_scoring_equals_evaluate_mask_past_64_nodes(g, data):
+    # Masks no longer fit in an int64: the compiled gates and penalties
+    # score object arrays of Python ints.
+    spec = data.draw(cost_specs(g).filter(lambda spec: spec.gates))
+    _walk_flips_side_by_side(g, spec, data)
+
+
+def _scoring_routes(g, spec, mask):
+    # The same mask scored by _score (through evaluate_mask) and by the
+    # batched tail (through flip_values and through evaluate_block).
+    ev = SubsetEvaluator(g, spec)
+    n = g.n_nodes
+    closures, sizes = ev.subset_closures(0, n)
+    return (
+        lambda: ev.evaluate_mask(mask),
+        lambda: ev.flip_values(np.zeros((1, n), dtype=np.int32), [0], [mask ^ 1], [0], [0]),
+        lambda: ev.evaluate_block(np.array([mask]), closures[[mask]], sizes[[mask]]),
+    )
+
+
+# beta * (gamma - delta * n/N)^2 overflows to inf for every subset.
+OVERFLOWING = CostSpec(beta=constant(1e308), gamma=constant(10.0))
+
+
+def test_batched_tail_rejects_a_non_finite_defined_value(demo):
+    for route in _scoring_routes(demo, OVERFLOWING, 0b101):
+        with pytest.raises(ValueError, match="cost value is not finite"):
+            route()
+
+
+def test_batched_tail_accepts_a_non_finite_value_gated_out(demo):
+    spec = dataclasses.replace(OVERFLOWING, gates=(("cardinality:1:1", 1.0),))
+    by_score, by_flip, by_block = (route() for route in _scoring_routes(demo, spec, 0b101))
+    assert not by_score.defined
+    assert by_flip == [None]
+    assert len(by_block.masks) == 0
+    for route in _scoring_routes(demo, spec, 0b100):
+        with pytest.raises(ValueError, match="cost value is not finite"):
+            route()
+
+
+@pytest.mark.parametrize("degree", [-0.5, 1.5, math.nan])
+def test_batched_tail_rejects_a_gate_degree_outside_0_1(demo, degree, monkeypatch):
+    # No registered constraint leaves [0, 1], so one that does is put in.
+    bad = constraints.ConstraintEvaluator(
+        "bad", constraints.FUZZY, lambda g, seeds: degree, lambda g: lambda mask, n: n * 0.0 + degree
+    )
+    resolve = constraints.resolve
+    monkeypatch.setattr(constraints, "resolve", lambda cid: bad if cid == "bad" else resolve(cid))
+    spec = CostSpec(gates=(("bad", 0.5),))
+    for route in _scoring_routes(demo, spec, 0b101):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            route()
 
 
 @given(graphs(max_nodes=6), st.data())

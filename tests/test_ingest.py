@@ -124,3 +124,9 @@ def test_csv_error_names_line():
     with pytest.raises(LogFormatError) as err:
         read_log_csv("a,b\nc\n")
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("row", ["c d,e", "c,d\te"])
+def test_csv_rejects_an_id_with_whitespace_naming_its_line(row):
+    with pytest.raises(LogFormatError, match="^line 3: element id must be a non-empty token without whitespace"):
+        read_log_csv(f"src,dst\na,b\n{row}\n")
