@@ -151,7 +151,9 @@ def fuzzy_small_subset(scale: float) -> ConstraintEvaluator:
         return max(0.0, 1.0 - (len(seeds) - 1) / scale)
 
     def compile(g: Graph) -> MaskPredicate:
-        return lambda mask, n: np.maximum(0.0, 1.0 - (n - 1) / scale)
+        # By size: a lookup for a Python int is cheap, np.maximum on one is not.
+        degree = np.maximum(0.0, 1.0 - (np.arange(g.n_nodes + 1) - 1) / scale)
+        return lambda mask, n: degree[n]
 
     return ConstraintEvaluator(f"fuzzy-small:{scale:g}", FUZZY, evaluate, compile)
 

@@ -137,7 +137,11 @@ def generalized_cost(
 
 
 def _size_term(spec: CostSpec, n: int, n_total: int) -> float:
-    return spec.beta(n) * (spec.gamma(n) - spec.delta(n) * (n / n_total)) ** 2
+    try:
+        square = (spec.gamma(n) - spec.delta(n) * (n / n_total)) ** 2
+    except OverflowError:  # float ** raises where float * gives inf
+        square = math.inf
+    return spec.beta(n) * square
 
 
 def gated_cost(
@@ -194,12 +198,13 @@ class SubsetEvaluator:
     closures are precomputed per node. ``evaluate`` accepts plain node-id
     iterables and matches propagate + gated_cost done by hand;
     ``evaluate_mask`` scores one mask into a ``Score`` and caches it.
-    Two methods score many subsets at once, uncached, through one array
-    tail (size tables, gates, penalties, finiteness): ``flip_values``
-    scores one-node changes of several subsets from per-node coverage
-    counts, and ``evaluate_block`` scores subsets from their closures,
-    which ``subset_closures`` enumerates. Constraints are compiled once
-    into mask predicates for all of these.
+    ``flip_values`` scores one-node changes of several subsets, uncached:
+    one numpy pass over per-node coverage counts sums their soiled
+    weights, and the scalar tail that ``evaluate_mask`` uses (size
+    tables, gates, penalties, finiteness) gives their values.
+    ``evaluate_block`` scores many subsets from their closures, which
+    ``subset_closures`` enumerates, through that tail done over arrays.
+    Constraints are compiled once into mask predicates for all of these.
     """
 
     def __init__(self, graph: Graph, spec: CostSpec):
@@ -269,90 +274,81 @@ class SubsetEvaluator:
     def _reach_steps(self) -> np.ndarray:
         """What adding seed v does to coverage counts (row v: reach(v) as
         0/1), what removing it does (row N + v: the negation), and a row of
-        zeros (row 2N) for no change, as int8."""
+        zeros (row 2N) for no change; int32 like the counts, since numpy adds
+        and compares arrays of one dtype about twice as fast."""
         n = self._n_total
         # Bit u of a little-endian integer is bit u % 8 of its byte u // 8.
         width = (n + 7) // 8
         packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self._reach), dtype=np.uint8)
-        rows = np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n].astype(np.int8)
-        return np.concatenate((rows, -rows, np.zeros((1, n), dtype=np.int8)))
+        rows = np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n].astype(np.int32)
+        return np.concatenate((rows, -rows, np.zeros((1, n), dtype=np.int32)))
 
     def flip_values(
         self,
         counts: np.ndarray,
-        row_masks: list[int],
-        masks: Sequence[int],
+        moves: list[list[int]],
         rows: Sequence[int],
-        flips: Sequence[int],
+        masks: Sequence[int],
+        steps: Sequence[int],
     ) -> list[float | None]:
-        """The value of ``masks[rows[j]] ^ (1 << flips[j])`` for each j, or None
-        where a gate rules it out; bit for bit that of ``evaluate_mask``.
+        """The value of each ``masks[j]``, or None where a gate rules it out;
+        bit for bit that of ``evaluate_mask``.
 
-        ``counts[r, u]`` is how many seeds of ``row_masks[r]`` reach node u
-        (all zero for the empty mask). Every row r is first moved to
-        ``masks[r]`` by adding or removing the reach rows of the seeds in
-        which the two differ, so a walk that flips one node at a time pays
-        only for the moves it made. The closures then take O(N) array
-        operations per row rather than one reach set per seed.
+        Moves are ``_reach_steps`` rows: v adds node v, N + v removes it.
+        ``counts[r, u]`` is how many seeds reach node u in the mask that row
+        r held before the moves ``moves[r]``, and ``masks[j]`` is the mask
+        that row ``rows[j]`` reaches after them by one more move,
+        ``steps[j]``. The moves are applied first, one round per move, and
+        the lists emptied, so a walk pays only for the moves it made. Each
+        soiled weight then takes O(N) array operations rather than one reach
+        set per seed.
         """
         n = self._n_total
         table = self._reach_steps
-        # Round k makes each row's k-th move, or none (row 2N of the table).
-        rounds: list[list[int]] = []
-        for r, mask in enumerate(masks):
-            diff = row_masks[r] ^ mask
-            k = 0
-            while diff:
-                low = diff & -diff
-                u = low.bit_length() - 1
-                if k == len(rounds):
-                    rounds.append([2 * n] * len(masks))
-                rounds[k][r] = u if mask & low else n + u
-                diff ^= low
-                k += 1
-            row_masks[r] = mask
-        for steps in rounds:
+        for k in range(max(map(len, moves))):
             # take() gathers rows faster than fancy indexing does.
-            counts += table.take(steps, axis=0)
-        flipped = [masks[r] ^ (1 << v) for r, v in zip(rows, flips)]
-        # Row u undoes the flip of u when it removes u, row N + u when it adds
-        # u, and counts + step > 0 is counts > -step.
-        undo = [v if masks[r] >> v & 1 else n + v for r, v in zip(rows, flips)]
-        covered = counts.take(rows, axis=0) > table.take(undo, axis=0)
+            counts += table.take([m[k] if k < len(m) else 2 * n for m in moves], axis=0)
+        for m in moves:
+            m.clear()
+        # counts + row s > 0 is counts > -row s, and row s +- N is -row s.
+        negated = [s + n if s < n else s - n for s in steps]
+        covered = counts.take(rows, axis=0) > table.take(negated, axis=0)
         # cumsum adds in ascending node order, as evaluate_mask does.
-        soiled_w = np.where(covered, self._weight_arr, 0.0).cumsum(axis=1)[:, -1]
-        sizes = np.array([m.bit_count() for m in flipped], dtype=np.int64)
-        # Masks past 63 nodes do not fit in int64; the predicates take Python ints too.
-        mask_arr = np.array(flipped, dtype=np.int64 if n < 64 else object)
-        scores, defined = self._score_arrays(mask_arr, sizes, soiled_w)
-        return [v if d else None for v, d in zip(scores.value.tolist(), defined.tolist())]
+        soiled_w = np.where(covered, self._weight_arr, 0.0).cumsum(axis=1)[:, -1].tolist()
+        total = self._total
+        return [self._value(m, m.bit_count(), w / total)[0] for m, w in zip(masks, soiled_w)]
 
     def _score(self, mask: int, soiled_w: float) -> Score:
-        """Gates, penalties and cost for a mask whose soiled weight is known,
-        computed as ``gated_cost`` computes them; cached."""
+        """``_value`` of a mask whose soiled weight is known, as a cached ``Score``."""
         s = soiled_w / self._total
         n = mask.bit_count()
+        value, mu = self._value(mask, n, s)
+        score = Score(value is not None, value, s, n, mu)
+        if len(self._cache) >= SCORE_CACHE_LIMIT:
+            self._cache.clear()
+        self._cache[mask] = score
+        return score
+
+    def _value(self, mask: int, n: int, s: float) -> tuple[float | None, float]:
+        """The value of a mask of n seeds and soiled measure s (None where a
+        gate rules it out) and its gate degree, computed as ``gated_cost``
+        computes them."""
         mu = 1.0
         for pred in self._gate_preds:
             d = float(pred(mask, n))
             if not 0.0 <= d <= 1.0:
                 raise ValueError(f"gate degree {d!r} outside [0, 1]")
             mu = min(mu, d)
-        if mu >= self._tau:
-            alpha, size_term = self._size_tables
-            value = alpha[n] * s * s
-            value += size_term[n]
-            for eps, pred in self._penalties:
-                value += eps * float(pred(mask, n))
-            if not math.isfinite(value):
-                raise ValueError(f"cost value is not finite: {value!r}")
-            score = Score(True, value, s, n, mu)
-        else:
-            score = Score(False, None, s, n, mu)
-        if len(self._cache) >= SCORE_CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[mask] = score
-        return score
+        if mu < self._tau:
+            return None, mu
+        alpha, size_term = self._size_tables
+        value = alpha[n] * s * s
+        value += size_term[n]
+        for eps, pred in self._penalties:
+            value += eps * float(pred(mask, n))
+        if not math.isfinite(value):
+            raise ValueError(f"cost value is not finite: {value!r}")
+        return value, mu
 
     def subset_closures(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Closures and sizes of all subsets of nodes ``first`` .. ``first + count - 1``.
@@ -380,12 +376,7 @@ class SubsetEvaluator:
         for i, w in enumerate(self._weight):
             # Ascending node order, as evaluate_mask adds; adding 0.0 changes no sum.
             soiled_w += np.where((closures >> i) & 1, w, 0.0)
-        scores, defined = self._score_arrays(masks, sizes, soiled_w)
-        return scores.take(defined)
-
-    def _score_arrays(self, masks: np.ndarray, sizes: np.ndarray, soiled_w: np.ndarray) -> tuple[ScoreArrays, np.ndarray]:
-        """``_score`` over arrays, uncached: the scores of subsets whose masks,
-        sizes and soiled weights are given, and which of them are defined."""
+        # _value over arrays.
         s = soiled_w / self._total
         mu = np.ones(len(masks))
         for pred in self._gate_preds:
@@ -395,14 +386,14 @@ class SubsetEvaluator:
                 raise ValueError(f"gate degree {degree[outside][0].item()!r} outside [0, 1]")
             mu = np.minimum(mu, degree)
         defined = mu >= self._tau
-        alpha, size_term = self._size_arrays
+        alpha, size_term = map(np.array, self._size_tables)
         value = alpha[sizes] * s * s + size_term[sizes]
         for eps, pred in self._penalties:
             value += eps * np.asarray(pred(masks, sizes), dtype=np.float64)
         not_finite = defined & ~np.isfinite(value)
         if not_finite.any():
             raise ValueError(f"cost value is not finite: {value[not_finite][0].item()!r}")
-        return ScoreArrays(masks, value, s, sizes, mu), defined
+        return ScoreArrays(masks, value, s, sizes, mu).take(defined)
 
     @cached_property
     def _size_tables(self) -> tuple[list[float], list[float]]:
@@ -412,11 +403,6 @@ class SubsetEvaluator:
         alpha = [math.nan, *(self.spec.alpha(n) for n in sizes)]
         size_term = [math.nan, *(_size_term(self.spec, n, self._n_total) for n in sizes)]
         return alpha, size_term
-
-    @cached_property
-    def _size_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_size_tables`` as float64 arrays."""
-        return tuple(map(np.array, self._size_tables))
 
 
 def _parse_coefficient(value: str) -> CoefficientFn:

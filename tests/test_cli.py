@@ -78,6 +78,15 @@ def test_analyze_infeasible_exit_code(demo_graph_file, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_analyze_overflowing_cost_is_an_error(demo_graph_file, tmp_path, run_cli):
+    cost = tmp_path / "huge.cost"
+    cost.write_text("gamma = const 1e200\n")
+    proc = run_cli("analyze", "--graph", demo_graph_file, "--cost", cost, expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("critset: error: cost value is not finite")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_config_file_wins_with_warning(demo_graph_file, tmp_path, capsys):
     config = tmp_path / "cost.cfg"
     config.write_text("beta = inv 2\n")

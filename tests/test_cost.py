@@ -287,28 +287,36 @@ def _walk_flips_side_by_side(g, spec, data):
     subsets = st.integers(1, (1 << n) - 1)
     masks = data.draw(st.lists(subsets, min_size=2, max_size=4))
     counts = np.zeros((len(masks), n), dtype=np.int32)
-    row_masks = [0] * len(masks)
+    # Each walk's moves since its counts row was last brought up to date, as
+    # reach-step rows: v adds node v, n + v removes it.
+    moves = [list(_bits(mask)) for mask in masks]
     # Per walk and step: the node to flip, whether to accept, and sometimes
     # a jump elsewhere first; per step, whether flips are scored at all (an
-    # unscored step accepts every flip), so that rows lag by several seeds.
+    # unscored step accepts every flip), so that rows lag by several moves.
     action = st.tuples(st.integers(0, n - 1), st.booleans(), st.none() | subsets)
     walk_step = st.tuples(st.lists(action, min_size=len(masks), max_size=len(masks)), st.booleans())
     for step, scored in data.draw(st.lists(walk_step, max_size=20)):
-        masks = [jump or mask for mask, (_, _, jump) in zip(masks, step)]
+        for r, (_, _, jump) in enumerate(step):
+            if jump:
+                moves[r] += [v if jump >> v & 1 else n + v for v in _bits(masks[r] ^ jump)]
+                masks[r] = jump
         rows = [r for r, (v, _, _) in enumerate(step) if masks[r] != 1 << v]
         flips = [step[r][0] for r in rows]
+        flipped = [masks[r] ^ (1 << v) for r, v in zip(rows, flips)]
+        flip_moves = [v if m >> v & 1 else n + v for m, v in zip(flipped, flips)]
         if scored:
-            fresh = [SubsetEvaluator(g, spec).evaluate_mask(masks[r] ^ (1 << v)) for r, v in zip(rows, flips)]
-            got = ev.flip_values(counts, row_masks, masks, rows, flips)
+            fresh = [SubsetEvaluator(g, spec).evaluate_mask(m) for m in flipped]
+            got = ev.flip_values(counts, moves, rows, flipped, flip_moves)
             assert [None if v is None else v.hex() for v in got] == [
                 sc.value.hex() if sc.defined else None for sc in fresh
             ]
-            assert row_masks == masks
+            assert moves == [[] for _ in masks]
             for mask, row in zip(masks, counts.tolist()):
                 assert row == [sum(reach[s] >> u & 1 for s in _bits(mask)) for u in range(n)]
-        for r, v in zip(rows, flips):
+        for r, m, move in zip(rows, flipped, flip_moves):
             if step[r][1] or not scored:
-                masks[r] ^= 1 << v
+                masks[r] = m
+                moves[r].append(move)
 
 
 @given(graphs(), st.sampled_from(MEASURE_MODES), st.data())
@@ -328,20 +336,23 @@ def test_flip_scoring_equals_evaluate_mask(g, mode, data):
 @settings(max_examples=25, deadline=None)
 def test_flip_scoring_equals_evaluate_mask_past_64_nodes(g, data):
     # Masks no longer fit in an int64: the compiled gates and penalties
-    # score object arrays of Python ints.
+    # score them as Python ints.
     spec = data.draw(cost_specs(g).filter(lambda spec: spec.gates))
     _walk_flips_side_by_side(g, spec, data)
 
 
 def _scoring_routes(g, spec, mask):
-    # The same mask scored by _score (through evaluate_mask) and by the
-    # batched tail (through flip_values and through evaluate_block).
+    # The same mask scored by the scalar tail (through evaluate_mask and
+    # through flip_values) and by the batched tail (through evaluate_block).
     ev = SubsetEvaluator(g, spec)
     n = g.n_nodes
     closures, sizes = ev.subset_closures(0, n)
     return (
         lambda: ev.evaluate_mask(mask),
-        lambda: ev.flip_values(np.zeros((1, n), dtype=np.int32), [0], [mask ^ 1], [0], [0]),
+        # From mask ^ 1, the move that adds or removes node 0.
+        lambda: ev.flip_values(
+            np.zeros((1, n), dtype=np.int32), [list(_bits(mask ^ 1))], [0], [mask], [0 if mask & 1 else n]
+        ),
         lambda: ev.evaluate_block(np.array([mask]), closures[[mask]], sizes[[mask]]),
     )
 
@@ -365,6 +376,24 @@ def test_batched_tail_accepts_a_non_finite_value_gated_out(demo):
     for route in _scoring_routes(demo, spec, 0b100):
         with pytest.raises(ValueError, match="cost value is not finite"):
             route()
+
+
+def test_overflowing_size_term_is_a_non_finite_value(demo):
+    # (gamma - delta * n/N) ** 2 overflows, and float ** raises where * would
+    # give inf: the size term is inf, so a defined score is an error.
+    spec = CostSpec(gamma=constant(1e200))
+    assert generalized_cost(0.5, 2, 7, spec) == math.inf
+    with pytest.raises(ValueError, match="cost value is not finite"):
+        gated_cost(0.5, 2, 7, spec)
+    for route in _scoring_routes(demo, spec, 0b101):
+        with pytest.raises(ValueError, match="cost value is not finite"):
+            route()
+    gated = dataclasses.replace(spec, gates=(("cardinality:1:1", 1.0),))
+    assert not gated_cost(0.5, 2, 7, gated, gate_degrees=[0.0]).defined
+    by_score, by_flip, by_block = (route() for route in _scoring_routes(demo, gated, 0b101))
+    assert not by_score.defined
+    assert by_flip == [None]
+    assert len(by_block.masks) == 0
 
 
 @pytest.mark.parametrize("degree", [-0.5, 1.5, math.nan])
