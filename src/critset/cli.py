@@ -42,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _u64(text: str) -> int:
+    """An ``--rng-seed`` value: an integer in [0, 2^64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2^64), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="critset", description="Critical node-subset detection on weighted digraphs.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -65,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ID:EPS",
         help="penalty constraint id and epsilon weight (repeatable)",
     )
-    an.add_argument("--rng-seed", type=int, default=0, metavar="U64", help="random seed (default 0)")
+    an.add_argument("--rng-seed", type=_u64, default=0, metavar="U64", help="random seed (default 0)")
     an.add_argument("--top", type=int, default=10, metavar="K", help="how many candidates to report (default 10)")
     an.add_argument("--format", choices=["tsv", "json"], default="tsv", help="report format (default tsv)")
     an.set_defaults(func=cmd_analyze)
@@ -82,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     gl.add_argument("out", metavar="OUT", help="log CSV to write, or - for stdout")
     gl.add_argument("--nodes", type=int, required=True, metavar="K", help="number of distinct nodes")
     gl.add_argument("--transactions", type=int, required=True, metavar="M", help="number of log records")
-    gl.add_argument("--rng-seed", type=int, default=0, metavar="U64", help="random seed (default 0)")
+    gl.add_argument("--rng-seed", type=_u64, default=0, metavar="U64", help="random seed (default 0)")
     gl.set_defaults(func=cmd_genlog)
     return parser
 

@@ -81,16 +81,28 @@ class CostSpec:
     mode: str = "node"
 
     def __post_init__(self):
-        object.__setattr__(self, "penalties", tuple((float(e), cid) for e, cid in self.penalties))
-        object.__setattr__(self, "gates", tuple((cid, float(t)) for cid, t in self.gates))
+        object.__setattr__(self, "penalties", tuple((_check_eps(e), cid) for e, cid in self.penalties))
+        object.__setattr__(self, "gates", tuple((cid, _check_tau(t)) for cid, t in self.gates))
         if self.mode not in MEASURE_MODES:
             raise ValueError(f"unknown measure mode {self.mode!r}; expected one of {MEASURE_MODES}")
         for _, cid in self.penalties:
             _constraints.resolve(cid)
-        for cid, tau in self.gates:
+        for cid, _ in self.gates:
             _constraints.resolve(cid)
-            if not 0.0 < tau <= 1.0:
-                raise ValueError(f"gate threshold must be in (0, 1], got {tau}")
+
+
+def _check_eps(eps) -> float:
+    eps = float(eps)
+    if not math.isfinite(eps):
+        raise ValueError(f"penalty epsilon must be finite, got {eps!r}")
+    return eps
+
+
+def _check_tau(tau) -> float:
+    tau = float(tau)
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"gate threshold must be in (0, 1], got {tau}")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -190,6 +202,21 @@ class ScoreArrays(NamedTuple):
         return ScoreArrays(*map(np.concatenate, zip(self, other)))
 
 
+def _sums_exact(weights: Sequence[float]) -> bool:
+    """Whether every sum of positive ``weights``, over any subset and in any
+    order, is exact in float64.
+
+    Write each weight as p / 2^e and let K be the largest e. Every partial
+    sum is then a multiple of 2^-K, at most the total of p * 2^(K - e) of
+    them. A float64 holds such a sum exactly when that total is below 2^53
+    and K <= 1022 (so no sum is subnormal), and then no addition rounds.
+    """
+    ratios = [w.as_integer_ratio() for w in weights]
+    # A float's ratio has a power-of-two denominator 2^e; e is its bit length - 1.
+    k = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    return k <= 1022 and sum(p << (k - d.bit_length() + 1) for p, d in ratios) < 1 << 53
+
+
 class SubsetEvaluator:
     """Scores seed subsets of one graph under one CostSpec.
 
@@ -201,7 +228,11 @@ class SubsetEvaluator:
     ``flip_values`` scores one-node changes of several subsets, uncached:
     one numpy pass over per-node coverage counts sums their soiled
     weights, and the scalar tail that ``evaluate_mask`` uses (size
-    tables, gates, penalties, finiteness) gives their values.
+    tables, gates, penalties, finiteness) gives their values. That pass
+    is a matrix-vector product when every subset sum of the weights is
+    exact in float64: each weight a multiple of 2^-K with K <= 1022, the
+    weights adding up to fewer than 2^53 such units (``_sums_exact``).
+    Otherwise it is an ordered sum.
     ``evaluate_block`` scores many subsets from their closures, which
     ``subset_closures`` enumerates, through that tail done over arrays.
     Constraints are compiled once into mask predicates for all of these.
@@ -231,6 +262,7 @@ class SubsetEvaluator:
                 out_w[self._index[s]] += w
             self._weight = out_w
         self._weight_arr = np.array(self._weight, dtype=np.float64)
+        self._exact_sums = _sums_exact(self._weight)
         self._total = total_weight(graph, spec.mode)
 
     @property
@@ -301,7 +333,10 @@ class SubsetEvaluator:
         ``steps[j]``. The moves are applied first, one round per move, and
         the lists emptied, so a walk pays only for the moves it made. Each
         soiled weight then takes O(N) array operations rather than one reach
-        set per seed.
+        set per seed. When each weight is a multiple of 2^-K, K <= 1022,
+        and they add up to fewer than 2^53 units of 2^-K, no sum rounds and
+        one matrix-vector product gives the soiled weights; otherwise they
+        are summed in ascending node order, as ``evaluate_mask`` adds.
         """
         n = self._n_total
         table = self._reach_steps
@@ -313,8 +348,11 @@ class SubsetEvaluator:
         # counts + row s > 0 is counts > -row s, and row s +- N is -row s.
         negated = [s + n if s < n else s - n for s in steps]
         covered = counts.take(rows, axis=0) > table.take(negated, axis=0)
-        # cumsum adds in ascending node order, as evaluate_mask does.
-        soiled_w = np.where(covered, self._weight_arr, 0.0).cumsum(axis=1)[:, -1].tolist()
+        if self._exact_sums:
+            soiled_w = (covered @ self._weight_arr).tolist()
+        else:
+            # cumsum adds in ascending node order, as evaluate_mask does.
+            soiled_w = np.where(covered, self._weight_arr, 0.0).cumsum(axis=1)[:, -1].tolist()
         total = self._total
         return [self._value(m, m.bit_count(), w / total)[0] for m, w in zip(masks, soiled_w)]
 
@@ -439,7 +477,7 @@ def parse_cost_config(text: str) -> CostSpec:
                 fields = value.split()
                 tau = 1.0
                 if len(fields) == 2 and fields[1].startswith("tau="):
-                    tau = float(fields[1][4:])
+                    tau = _check_tau(fields[1][4:])
                 elif len(fields) != 1:
                     raise ValueError(f"expected '<constraint-id> [tau=<t>]', got {value!r}")
                 gates.append((fields[0], tau))
@@ -447,7 +485,7 @@ def parse_cost_config(text: str) -> CostSpec:
                 fields = value.split()
                 if len(fields) != 2 or not fields[1].startswith("eps="):
                     raise ValueError(f"expected '<constraint-id> eps=<e>', got {value!r}")
-                penalties.append((float(fields[1][4:]), fields[0]))
+                penalties.append((_check_eps(fields[1][4:]), fields[0]))
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:

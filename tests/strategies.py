@@ -7,20 +7,23 @@ from critset.cost import CONST, OVER_N, CoefficientFn, CostSpec
 from critset.graphs import Graph
 
 weights = st.floats(min_value=0.1, max_value=10.0, allow_nan=False, allow_infinity=False)
+# Multiples of 1/64 in the same range: every sum of a few of them is exact.
+dyadic_weights = st.integers(7, 640).map(lambda k: k / 64)
 
 
 @st.composite
-def graphs(draw, max_nodes=10, weighted=True, min_nodes=1):
+def graphs(draw, max_nodes=10, weighted=True, min_nodes=1, dyadic=False):
     n = draw(st.integers(min_nodes, max_nodes))
     ids = [f"v{i}" for i in range(n)]
+    weight = dyadic_weights if dyadic else weights
     if weighted:
-        nodes = [(v, draw(weights)) for v in ids]
+        nodes = [(v, draw(weight)) for v in ids]
     else:
         nodes = list(ids)
     pairs = [(s, t) for s in ids for t in ids]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     if weighted:
-        edges = [(s, t, draw(weights)) for s, t in chosen]
+        edges = [(s, t, draw(weight)) for s, t in chosen]
     else:
         edges = chosen
     return Graph(nodes, edges)
@@ -51,15 +54,17 @@ def star_graphs(draw, max_leaves=9):
 
 
 @st.composite
-def wide_graphs(draw, min_nodes=64, max_nodes=80):
+def wide_graphs(draw, min_nodes=64, max_nodes=80, dyadic=False):
     """Random weighted digraphs too wide for int64 masks, built from a
-    drawn seed (drawing each of thousands of node pairs would be slow)."""
+    drawn seed (drawing each of thousands of node pairs would be slow);
+    with ``dyadic``, every weight is a multiple of 1/64."""
     n = draw(st.integers(min_nodes, max_nodes))
     rnd = random.Random(draw(st.integers(0, 2**32)))
     ids = [f"v{i}" for i in range(n)]
     pairs = rnd.sample([(s, t) for s in ids for t in ids], rnd.randint(0, 2 * n))
-    nodes = [(v, rnd.uniform(0.1, 10.0)) for v in ids]
-    return Graph(nodes, [(s, t, rnd.uniform(0.1, 10.0)) for s, t in pairs])
+    weight = (lambda: rnd.randint(7, 640) / 64) if dyadic else (lambda: rnd.uniform(0.1, 10.0))
+    nodes = [(v, weight()) for v in ids]
+    return Graph(nodes, [(s, t, weight()) for s, t in pairs])
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +86,50 @@ def test_analyze_overflowing_cost_is_an_error(demo_graph_file, tmp_path, run_cli
     assert proc.stdout == ""
     assert proc.stderr.startswith("critset: error: cost value is not finite")
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_analyze_non_finite_penalty_epsilon_is_an_error(demo_graph_file, tmp_path, capsys, eps):
+    # Rejected when the spec is built, by flag and by cost file alike, not
+    # when the first defined score comes out non-finite.
+    assert main(["analyze", "--graph", str(demo_graph_file), "--penalty", f"fuzzy-small:6:{eps}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"critset: error: penalty epsilon must be finite, got {float(eps)!r}\n"
+    cost = tmp_path / "eps.cost"
+    cost.write_text(f"beta = inv 2\npenalty = fuzzy-small:6 eps={eps}\n")
+    assert main(["analyze", "--graph", str(demo_graph_file), "--cost", str(cost)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"critset: error: line 2: penalty epsilon must be finite, got {float(eps)!r}\n"
+
+
+SA_GRAPH = Path(__file__).parent / "golden" / "gated-73.graph"
+
+
+@pytest.mark.parametrize("seed", ["-5", "-1", str(2**64), "x"])
+@pytest.mark.parametrize("command", ["exhaustive", "sa", "gen-log"])
+def test_rng_seed_outside_u64_is_a_usage_error(demo_graph_file, command, seed, capsys):
+    argv = {
+        "exhaustive": ["analyze", "--graph", str(demo_graph_file)],  # 7 nodes: exhaustive by default
+        "sa": ["analyze", "--graph", str(SA_GRAPH)],  # 73 nodes: sa by default
+        "gen-log": ["gen-log", "-", "--nodes", "5", "--transactions", "10"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--rng-seed={seed}"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --rng-seed: expected an integer in [0, 2^64), got {seed!r}" in captured.err
+
+
+@pytest.mark.parametrize("optimizer", ["exhaustive", "sa"])
+def test_rng_seed_largest_u64(demo_graph_file, capsys, optimizer):
+    seed = 2**64 - 1
+    argv = ["analyze", "--graph", str(demo_graph_file), "--optimizer", optimizer, "--format", "json"]
+    assert main([*argv, "--rng-seed", str(seed)]) == 0
+    assert json.loads(capsys.readouterr().out)["rng_seed"] == seed
+    assert main(["gen-log", "-", "--nodes", "5", "--transactions", "10", "--rng-seed", str(seed)]) == 0
 
 
 def test_config_file_wins_with_warning(demo_graph_file, tmp_path, capsys):

@@ -13,6 +13,7 @@ from critset.cost import (
     CostConfigError,
     CostSpec,
     SubsetEvaluator,
+    _sums_exact,
     basic_cost,
     constant,
     gated_cost,
@@ -21,6 +22,7 @@ from critset.cost import (
     parse_cost_config,
 )
 from critset.graphs import MEASURE_MODES, Graph, _bits, _closure, _successor_indices
+from critset.ingest import build_from_log, generate_log
 from critset.taint import soil
 
 from .strategies import cost_specs, graphs, graphs_and_seeds, wide_graphs
@@ -150,6 +152,9 @@ def test_spec_validation():
         CostSpec(gates=(("same-component", 1.5),))
     with pytest.raises(ValueError):
         CostSpec(mode="area")
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="penalty epsilon must be finite"):
+            CostSpec(penalties=((eps, "fuzzy-small:6"),))
 
 
 def test_parse_cost_config_full():
@@ -195,6 +200,22 @@ def test_parse_cost_config_reports_line():
     with pytest.raises(CostConfigError) as err:
         parse_cost_config("alpha = const 1\nbeta = const x\n")
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("gate = same-component tau=2", "gate threshold must be in (0, 1], got 2.0"),
+        ("gate = same-component tau=0", "gate threshold must be in (0, 1], got 0.0"),
+        ("gate = same-component tau=nan", "gate threshold must be in (0, 1], got nan"),
+        ("penalty = same-component eps=nan", "penalty epsilon must be finite, got nan"),
+        ("penalty = same-component eps=-inf", "penalty epsilon must be finite, got -inf"),
+    ],
+)
+def test_parse_cost_config_names_the_line_of_a_bad_tau_or_eps(line, message):
+    with pytest.raises(CostConfigError) as err:
+        parse_cost_config(f"alpha = const 1\n{line}\n")
+    assert str(err.value) == f"line 2: {message}"
 
 
 def test_evaluator_matches_demo_scores(demo):
@@ -319,9 +340,12 @@ def _walk_flips_side_by_side(g, spec, data):
                 moves[r].append(move)
 
 
-@given(graphs(), st.sampled_from(MEASURE_MODES), st.data())
-@settings(max_examples=300, deadline=None)
-def test_flip_scoring_equals_evaluate_mask(g, mode, data):
+# Float weights take the ordered sum, multiples of 1/64 the matrix-vector
+# product; each kind gets about as many examples as the float kind alone had.
+@given(st.booleans(), st.sampled_from(MEASURE_MODES), st.data())
+@settings(max_examples=600, deadline=None)
+def test_flip_scoring_equals_evaluate_mask(dyadic, mode, data):
+    g = data.draw(graphs(dyadic=dyadic))
     assume(mode == "node" or g.n_edges)
     spec = CostSpec(
         beta=over_n(2.0),
@@ -329,16 +353,45 @@ def test_flip_scoring_equals_evaluate_mask(g, mode, data):
         penalties=((0.7, "fuzzy-small:3"),),
         mode=mode,
     )
+    assert SubsetEvaluator(g, spec)._exact_sums or not dyadic
     _walk_flips_side_by_side(g, spec, data)
 
 
-@given(wide_graphs(), st.data())
-@settings(max_examples=25, deadline=None)
-def test_flip_scoring_equals_evaluate_mask_past_64_nodes(g, data):
+@given(st.booleans(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_flip_scoring_equals_evaluate_mask_past_64_nodes(dyadic, data):
     # Masks no longer fit in an int64: the compiled gates and penalties
     # score them as Python ints.
+    g = data.draw(wide_graphs(dyadic=dyadic))
     spec = data.draw(cost_specs(g).filter(lambda spec: spec.gates))
+    assert SubsetEvaluator(g, spec)._exact_sums or not dyadic
     _walk_flips_side_by_side(g, spec, data)
+
+
+@pytest.mark.parametrize(
+    "weights, exact",
+    [
+        ([1.0] * 196, True),
+        ([k / 64 for k in range(1, 200)], True),
+        ([1.0, 0.1], False),
+        ([2.0**52, 2.0**52 - 1], True),
+        ([2.0**52, 2.0**52], False),
+        ([2.0**-1022, 2.0**-1022], True),
+        ([2.0**-1023], False),
+    ],
+)
+def test_sums_exact_boundary(weights, exact):
+    assert _sums_exact(weights) is exact
+    g = Graph([(f"v{i}", w) for i, w in enumerate(weights)])
+    assert SubsetEvaluator(g, CostSpec())._exact_sums is exact
+
+
+def test_ingested_edge_measure_is_not_exact():
+    # Ingested edge weights are count / total: the node measure is exact,
+    # the edge measure is not.
+    g = build_from_log(generate_log(200, 400, 1))
+    assert SubsetEvaluator(g, CostSpec())._exact_sums
+    assert not SubsetEvaluator(g, CostSpec(mode="edge"))._exact_sums
 
 
 def _scoring_routes(g, spec, mask):
