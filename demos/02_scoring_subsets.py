@@ -18,9 +18,9 @@ print(f"{{1,6}}: S = {soiled:.4f}, basic cost (beta=1) = {value:.4f}")
 print()
 
 # SubsetEvaluator does the soil-then-score pipeline in one call and
-# caches closures, which matters once a search evaluates thousands of
-# subsets. Compare beta = 1 against beta = 2/n, which discounts the
-# size bonus as subsets grow.
+# computes each node's reach set once, up front, which matters once a
+# search evaluates thousands of subsets. Compare beta = 1 against
+# beta = 2/n, which discounts the size bonus as subsets grow.
 flat = SubsetEvaluator(g, CostSpec())
 decaying = SubsetEvaluator(g, CostSpec(beta=over_n(2.0)))
 

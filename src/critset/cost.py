@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .taint import seed_set
 
 CONST = "const"
 OVER_N = "inv"
-# Scores a SubsetEvaluator caches before it clears its cache and starts over.
-SCORE_CACHE_LIMIT = 1 << 18
 
 
 class CostConfigError(ValueError):
@@ -83,8 +81,7 @@ class CostSpec:
     def __post_init__(self):
         object.__setattr__(self, "penalties", tuple((_check_eps(e), cid) for e, cid in self.penalties))
         object.__setattr__(self, "gates", tuple((cid, _check_tau(t)) for cid, t in self.gates))
-        if self.mode not in MEASURE_MODES:
-            raise ValueError(f"unknown measure mode {self.mode!r}; expected one of {MEASURE_MODES}")
+        _check_mode(self.mode)
         for _, cid in self.penalties:
             _constraints.resolve(cid)
         for cid, _ in self.gates:
@@ -96,6 +93,12 @@ def _check_eps(eps) -> float:
     if not math.isfinite(eps):
         raise ValueError(f"penalty epsilon must be finite, got {eps!r}")
     return eps
+
+
+def _check_mode(mode: str) -> str:
+    if mode not in MEASURE_MODES:
+        raise ValueError(f"unknown measure mode {mode!r}; expected one of {MEASURE_MODES}")
+    return mode
 
 
 def _check_tau(tau) -> float:
@@ -185,23 +188,6 @@ def gated_cost(
     return Score(False, None, soiled, n, mu)
 
 
-class ScoreArrays(NamedTuple):
-    """Defined scores of many subsets: one int64 or float64 array per
-    ``Score`` field, aligned with ``masks``."""
-
-    masks: np.ndarray
-    value: np.ndarray
-    soiled: np.ndarray
-    n: np.ndarray
-    gate_degree: np.ndarray
-
-    def take(self, index) -> ScoreArrays:
-        return ScoreArrays(*(a[index] for a in self))
-
-    def concat(self, other: ScoreArrays) -> ScoreArrays:
-        return ScoreArrays(*map(np.concatenate, zip(self, other)))
-
-
 def _sums_exact(weights: Sequence[float]) -> bool:
     """Whether every sum of positive ``weights``, over any subset and in any
     order, is exact in float64.
@@ -222,18 +208,19 @@ class SubsetEvaluator:
 
     Subsets are encoded as bit masks over ``graph.node_ids`` (bit i is
     node i), which keeps the optimizers' inner loops cheap; reachability
-    closures are precomputed per node. ``evaluate`` accepts plain node-id
-    iterables and matches propagate + gated_cost done by hand;
-    ``evaluate_mask`` scores one mask into a ``Score`` and caches it.
-    ``flip_values`` scores one-node changes of several subsets, uncached:
-    one numpy pass over per-node coverage counts sums their soiled
-    weights, and the scalar tail that ``evaluate_mask`` uses (size
-    tables, gates, penalties, finiteness) gives their values. That pass
-    is a matrix-vector product when every subset sum of the weights is
-    exact in float64: each weight a multiple of 2^-K with K <= 1022, the
-    weights adding up to fewer than 2^53 such units (``_sums_exact``).
-    Otherwise it is an ordered sum.
-    ``evaluate_block`` scores many subsets from their closures, which
+    closures are precomputed per node. It keeps no scores: a search that
+    meets a subset again looks it up in its own table. ``evaluate``
+    accepts plain node-id iterables and matches propagate + gated_cost
+    done by hand; ``evaluate_mask`` scores one mask into a ``Score``.
+    ``flip_values`` scores one-node changes of several subsets: one numpy
+    pass over per-node coverage counts sums their soiled weights, and the
+    scalar tail that ``evaluate_mask`` uses (size tables, gates,
+    penalties, finiteness) gives their values. That pass is a
+    matrix-vector product when every subset sum of the weights is exact
+    in float64: each weight a multiple of 2^-K with K <= 1022, the weights
+    adding up to fewer than 2^53 such units (``_sums_exact``). Otherwise
+    it is an ordered sum.
+    ``evaluate_block`` values many subsets from their closures, which
     ``subset_closures`` enumerates, through that tail done over arrays.
     Constraints are compiled once into mask predicates for all of these.
     """
@@ -244,7 +231,8 @@ class SubsetEvaluator:
         self._ids = graph.node_ids
         self._index = {v: i for i, v in enumerate(self._ids)}
         self._n_total = graph.n_nodes
-        self._cache: dict[int, Score] = {}
+        if not self._n_total:
+            raise ValueError("the graph has no nodes")
 
         self._gate_preds = tuple(_constraints.resolve(cid).compile(graph) for cid, _ in spec.gates)
         # A score is defined when mu reaches every gate's tau: the largest one.
@@ -282,25 +270,25 @@ class SubsetEvaluator:
         return self.evaluate_mask(self.mask_of(seeds))
 
     def evaluate_mask(self, mask: int) -> Score:
-        score = self._cache.get(mask)
-        if score is None:
-            if mask <= 0 or mask >> self._n_total:
-                raise ValueError(f"mask {mask:#x} is not a nonempty subset of the graph's nodes")
-            closure = 0
-            m = mask
-            while m:
-                low = m & -m
-                closure |= self._reach[low.bit_length() - 1]
-                m ^= low
-            soiled_w = 0.0
-            weight = self._weight
-            c = closure
-            while c:
-                low = c & -c
-                soiled_w += weight[low.bit_length() - 1]
-                c ^= low
-            score = self._score(mask, soiled_w)
-        return score
+        if mask <= 0 or mask >> self._n_total:
+            raise ValueError(f"mask {mask:#x} is not a nonempty subset of the graph's nodes")
+        closure = 0
+        m = mask
+        while m:
+            low = m & -m
+            closure |= self._reach[low.bit_length() - 1]
+            m ^= low
+        # An explicit loop, not sum(): sum() is compensated from Python 3.12 on.
+        soiled_w = 0.0
+        weight = self._weight
+        while closure:
+            low = closure & -closure
+            soiled_w += weight[low.bit_length() - 1]
+            closure ^= low
+        s = soiled_w / self._total
+        n = mask.bit_count()
+        value, mu = self._value(mask, n, s)
+        return Score(value is not None, value, s, n, mu)
 
     @cached_property
     def _reach_steps(self) -> np.ndarray:
@@ -356,17 +344,6 @@ class SubsetEvaluator:
         total = self._total
         return [self._value(m, m.bit_count(), w / total)[0] for m, w in zip(masks, soiled_w)]
 
-    def _score(self, mask: int, soiled_w: float) -> Score:
-        """``_value`` of a mask whose soiled weight is known, as a cached ``Score``."""
-        s = soiled_w / self._total
-        n = mask.bit_count()
-        value, mu = self._value(mask, n, s)
-        score = Score(value is not None, value, s, n, mu)
-        if len(self._cache) >= SCORE_CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[mask] = score
-        return score
-
     def _value(self, mask: int, n: int, s: float) -> tuple[float | None, float]:
         """The value of a mask of n seeds and soiled measure s (None where a
         gate rules it out) and its gate degree, computed as ``gated_cost``
@@ -403,9 +380,10 @@ class SubsetEvaluator:
             sizes[half : 2 * half] = sizes[:half] + 1
         return closures, sizes
 
-    def evaluate_block(self, masks: np.ndarray, closures: np.ndarray, sizes: np.ndarray) -> ScoreArrays:
-        """The defined scores among nonempty subsets given as int64 arrays of
-        masks, their closures and sizes; bit for bit those of ``evaluate_mask``.
+    def evaluate_block(self, masks: np.ndarray, closures: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """The value of each nonempty subset given as int64 arrays of masks,
+        their closures and sizes, NaN where a gate rules it out; bit for bit
+        those of ``evaluate_mask``.
 
         Raises ``ValueError`` as ``gated_cost`` does, for a gate degree
         outside [0, 1] or a non-finite defined score.
@@ -425,13 +403,15 @@ class SubsetEvaluator:
             mu = np.minimum(mu, degree)
         defined = mu >= self._tau
         alpha, size_term = map(np.array, self._size_tables)
-        value = alpha[sizes] * s * s + size_term[sizes]
-        for eps, pred in self._penalties:
-            value += eps * np.asarray(pred(masks, sizes), dtype=np.float64)
+        # Overflow to inf is reported below, as _value reports it.
+        with np.errstate(all="ignore"):
+            value = alpha[sizes] * s * s + size_term[sizes]
+            for eps, pred in self._penalties:
+                value += eps * np.asarray(pred(masks, sizes), dtype=np.float64)
         not_finite = defined & ~np.isfinite(value)
         if not_finite.any():
             raise ValueError(f"cost value is not finite: {value[not_finite][0].item()!r}")
-        return ScoreArrays(masks, value, s, sizes, mu).take(defined)
+        return np.where(defined, value, np.nan)
 
     @cached_property
     def _size_tables(self) -> tuple[list[float], list[float]]:
@@ -472,7 +452,7 @@ def parse_cost_config(text: str) -> CostSpec:
             if key in ("alpha", "beta", "gamma", "delta"):
                 kwargs[key] = _parse_coefficient(value)
             elif key == "measure":
-                kwargs["mode"] = value
+                kwargs["mode"] = _check_mode(value)
             elif key == "gate":
                 fields = value.split()
                 tau = 1.0
@@ -480,16 +460,16 @@ def parse_cost_config(text: str) -> CostSpec:
                     tau = _check_tau(fields[1][4:])
                 elif len(fields) != 1:
                     raise ValueError(f"expected '<constraint-id> [tau=<t>]', got {value!r}")
+                _constraints.resolve(fields[0])
                 gates.append((fields[0], tau))
             elif key == "penalty":
                 fields = value.split()
                 if len(fields) != 2 or not fields[1].startswith("eps="):
                     raise ValueError(f"expected '<constraint-id> eps=<e>', got {value!r}")
+                _constraints.resolve(fields[0])
                 penalties.append((_check_eps(fields[1][4:]), fields[0]))
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
-            if isinstance(exc, (CostConfigError, _constraints.ConstraintError)):
-                raise
             raise CostConfigError(f"line {line_no}: {exc}") from None
     return CostSpec(gates=tuple(gates), penalties=tuple(penalties), **kwargs)

@@ -266,9 +266,12 @@ def parse_graph(text: str) -> Graph:
             yield tuple(spec)
 
     try:
-        return Graph(specs(nodes), specs(edge_lines))
+        g = Graph(specs(nodes), specs(edge_lines))
     except GraphError as exc:
         raise GraphParseError(reading[0], str(exc)) from None
+    if not g.n_nodes:
+        raise GraphError("graph file declares no nodes")
+    return g
 
 
 def serialize_graph(g: Graph) -> str:

@@ -1,17 +1,19 @@
 """Maximize a cost spec over nonempty seed subsets.
 
-Three searchers score subsets through a ``SubsetEvaluator``: exhaustive
-enumeration (exact, capped at 22 nodes), which scores all 2^N - 1
-subsets in numpy blocks from closures built by doubling; simulated
-annealing, whose restarts walk in lockstep over one table of mask ->
-value (None where gated out) that is both their cache and the pool they
-rank, so that each step sums the soiled weights of the flips missing
-from it in one ordered numpy pass over the restarts' coverage counts and
-scores them through the evaluator's scalar tail; and a genetic
-algorithm. Each hands ``_result`` the values it found, and ``_result``
-builds ``Score``s only for the masks that make the ranking. The two
-randomized searchers are heuristics; the test suite verifies them
-against the exhaustive result instead of assuming global optimality.
+Three searchers score subsets through a ``SubsetEvaluator``, which keeps
+no scores: exhaustive enumeration (exact, capped at 22 nodes), which
+values all 2^N - 1 subsets in numpy blocks from closures built by
+doubling and keeps masks, values and sizes of those that can still
+rank; simulated annealing; and a genetic algorithm. The two heuristics
+each keep one table of mask -> value (None where gated out) that is both
+their cache and the pool they rank. Annealing's restarts walk in
+lockstep over it, so that each step sums the soiled weights of the flips
+missing from it in one numpy pass over the restarts' coverage counts and
+scores them through the evaluator's scalar tail. Each searcher hands
+``_result`` the values it found, and ``_result`` builds ``Score``s only
+for the masks that make the ranking. The two randomized searchers are
+heuristics; the test suite verifies them against the exhaustive result
+instead of assuming global optimality.
 All are deterministic for a fixed rng seed; annealing restarts draw
 independent streams derived from (seed, restart index).
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostSpec, Score, ScoreArrays, SubsetEvaluator
+from .cost import CostSpec, Score, SubsetEvaluator
 from .graphs import Graph, _bits
 
 EXHAUSTIVE_NODE_CAP = 22
@@ -164,38 +166,40 @@ def exhaustive_search(
     low_closures, low_sizes = evaluator.subset_closures(0, low_bits)
     high_closures, high_sizes = evaluator.subset_closures(low_bits, n - low_bits)
     low_masks = np.arange(1 << low_bits, dtype=np.int64)
-    kept: ScoreArrays | None = None
-    cut = None
+    # Masks, values and sizes of every mask up to and tied with the k-th on
+    # (score, size): _result breaks those ties by seed ids. The first cut
+    # keeps every defined mask; NaN, the value of a gated-out one, fails
+    # every comparison in _at_or_above, so no cut keeps it.
+    kept = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))
+    cut = (-math.inf, n)
     for high in range(1 << (n - low_bits)):
         start = 1 if high == 0 else 0  # skip the empty subset
-        block = evaluator.evaluate_block(
-            low_masks[start:] | (high << low_bits),
-            low_closures[start:] | high_closures[high],
-            low_sizes[start:] + high_sizes[high],
-        )
-        # Keep every mask up to and tied with the k-th on (score, size):
-        # _result breaks those ties by seed ids.
-        if cut is not None:
-            block = block.take(_at_or_above(block, cut))
-        kept = block if kept is None else kept.concat(block)
-        if len(kept.masks) >= top_k:
-            kth = np.lexsort((kept.n, -kept.value))[top_k - 1]
-            cut = (kept.value[kth], kept.n[kth])
-            kept = kept.take(_at_or_above(kept, cut))
-    if len(kept.masks) == 0:
+        masks = low_masks[start:] | (high << low_bits)
+        sizes = low_sizes[start:] + high_sizes[high]
+        values = evaluator.evaluate_block(masks, low_closures[start:] | high_closures[high], sizes)
+        keep = _at_or_above(values, sizes, cut)
+        masks, values, sizes = (np.concatenate((a, b[keep])) for a, b in zip(kept, (masks, values, sizes)))
+        if len(masks) >= top_k:
+            kth = np.lexsort((sizes, -values))[top_k - 1]
+            cut = (values[kth], sizes[kth])
+            keep = _at_or_above(values, sizes, cut)
+            masks, values, sizes = masks[keep], values[keep], sizes[keep]
+        kept = masks, values, sizes
+    if len(masks) == 0:
         raise InfeasibleSearchError("every subset is gated out; no defined candidate exists")
-    values = dict(zip(kept.masks.tolist(), kept.value.tolist()))
+    values = dict(zip(masks.tolist(), values.tolist()))
     return _result(evaluator, values, (1 << n) - 1, rng_seed, "exhaustive", top_k)
 
 
-def _at_or_above(scores: ScoreArrays, cut) -> np.ndarray:
-    """Which of ``scores`` rank at or before (value, n) = ``cut`` on (-value, n)."""
+def _at_or_above(values: np.ndarray, sizes: np.ndarray, cut) -> np.ndarray:
+    """Which masks of these values and sizes rank at or before (value, n) =
+    ``cut`` on (-value, n)."""
     value, n = cut
-    return (scores.value > value) | ((scores.value == value) & (scores.n <= n))
+    return (values > value) | ((values == value) & (sizes <= n))
 
 
 def _feasible_start(evaluator, rng, n):
-    """A gate-feasible start, its score and the number of subsets scored to
+    """A gate-feasible start, its value and the number of subsets scored to
     find it: uniformly random subsets first, then the singletons in a
     random order."""
     used = 0
@@ -206,17 +210,17 @@ def _feasible_start(evaluator, rng, n):
         mask = 0
         for i in bits.tolist():
             mask |= 1 << i
-        score = evaluator.evaluate_mask(mask)
+        value = evaluator.evaluate_mask(mask).value
         used += 1
-        if score.defined:
-            return mask, score, used
+        if value is not None:
+            return mask, value, used
     # Random subsets hold about n/2 seeds, which a gate on size or on
     # components can rule out almost everywhere.
     for v in rng.permutation(n).tolist():
-        score = evaluator.evaluate_mask(1 << v)
+        value = evaluator.evaluate_mask(1 << v).value
         used += 1
-        if score.defined:
-            return 1 << v, score, used
+        if value is not None:
+            return 1 << v, value, used
     raise InfeasibleSearchError(
         f"no gate-feasible starting subset found in {_MAX_START_ATTEMPTS} random attempts"
         f" or among the {n} single-node subsets"
@@ -252,10 +256,10 @@ def anneal(
     values: list[float] = []
     evaluations = 0
     for rng in rngs:
-        mask, score, used = _feasible_start(evaluator, rng, n)
-        table[mask] = score.value
+        mask, value, used = _feasible_start(evaluator, rng, n)
+        table[mask] = value
         current.append(mask)
-        values.append(score.value)
+        values.append(value)
         evaluations += used
     # Per-node seed counts of each restart's mask as of the last step that
     # had a miss (the empty mask's before the first), and the moves it made
@@ -335,7 +339,10 @@ def evolve(
     they lose tournaments to any defined rival and are never kept as
     elites over a defined one. If the whole first population is undefined,
     individual 0 is replaced by a feasible start as annealing finds one.
-    Empty offspring are repaired by setting one random bit.
+    Empty offspring are repaired by setting one random bit. Individuals
+    already in the table of scored subsets are looked up, not rescored,
+    but ``evaluations`` counts every one assessed; the ranking is over
+    the whole table.
     """
     n = g.n_nodes
     evaluator = SubsetEvaluator(g, spec)
@@ -348,31 +355,30 @@ def evolve(
         if not population[row].any():
             population[row, rng.integers(0, n)] = 1
 
-    seen: dict[int, float] = {}
+    # Every subset scored so far: its value, or None where a gate rules it
+    # out. It is both the search's cache and the pool it ranks.
+    table: dict[int, float | None] = {}
     evaluations = 0
 
     def assess(pop):
         nonlocal evaluations
+        evaluations += len(pop)
         fitness = []
         for row in pop:
             mask = 0
             for i in np.flatnonzero(row).tolist():
                 mask |= 1 << i
-            sc = evaluator.evaluate_mask(mask)
-            evaluations += 1
-            if sc.defined:
-                seen[mask] = sc.value
-                fitness.append(sc.value)
-            else:
-                fitness.append(-math.inf)
+            if mask not in table:
+                table[mask] = evaluator.evaluate_mask(mask).value
+            value = table[mask]
+            fitness.append(-math.inf if value is None else value)
         return fitness
 
     fitness = assess(population)
     if max(fitness) == -math.inf:
-        mask, score, used = _feasible_start(evaluator, rng, n)
+        mask, value, used = _feasible_start(evaluator, rng, n)
         population[0] = [mask >> i & 1 for i in range(n)]
-        fitness[0] = score.value
-        seen[mask] = score.value
+        fitness[0] = table[mask] = value
         evaluations += used
     for _ in range(params.generations):
         order = sorted(range(pop_size), key=lambda i: (-fitness[i], i))
@@ -392,4 +398,4 @@ def evolve(
             offspring.append(child)
         population = np.stack(offspring)
         fitness = assess(population)
-    return _result(evaluator, seen, evaluations, rng_seed, "ga", top_k)
+    return _result(evaluator, table, evaluations, rng_seed, "ga", top_k)

@@ -88,6 +88,26 @@ def test_analyze_overflowing_cost_is_an_error(demo_graph_file, tmp_path, run_cli
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_analyze_overflowing_penalties_print_one_error_line(demo_graph_file, run_cli):
+    # Two penalties of 1e308 add up to inf in exhaustive search's batched
+    # tail: the finiteness check reports it, and numpy prints no warning.
+    penalty = ["--penalty", "fuzzy-small:6:1e308"]
+    proc = run_cli("analyze", "--graph", demo_graph_file, *penalty, *penalty, expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr == "critset: error: cost value is not finite: inf\n"
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n"])
+@pytest.mark.parametrize("optimizer", ["exhaustive", "sa", "ga"])
+def test_analyze_graph_file_without_nodes_is_an_error(tmp_path, capsys, optimizer, text):
+    path = tmp_path / "empty.graph"
+    path.write_text(text)
+    assert main(["analyze", "--graph", str(path), "--optimizer", optimizer]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "critset: error: graph file declares no nodes\n"
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
 def test_analyze_non_finite_penalty_epsilon_is_an_error(demo_graph_file, tmp_path, capsys, eps):
     # Rejected when the spec is built, by flag and by cost file alike, not

@@ -210,6 +210,9 @@ def test_parse_cost_config_reports_line():
         ("gate = same-component tau=nan", "gate threshold must be in (0, 1], got nan"),
         ("penalty = same-component eps=nan", "penalty epsilon must be finite, got nan"),
         ("penalty = same-component eps=-inf", "penalty epsilon must be finite, got -inf"),
+        ("measure = bogus", "unknown measure mode 'bogus'; expected one of ('node', 'edge')"),
+        ("gate = nope", "unknown constraint id 'nope'"),
+        ("penalty = cardinality:3:1 eps=0.5", "cardinality bounds must satisfy 1 <= min <= max, got (3, 1)"),
     ],
 )
 def test_parse_cost_config_names_the_line_of_a_bad_tau_or_eps(line, message):
@@ -425,7 +428,7 @@ def test_batched_tail_accepts_a_non_finite_value_gated_out(demo):
     by_score, by_flip, by_block = (route() for route in _scoring_routes(demo, spec, 0b101))
     assert not by_score.defined
     assert by_flip == [None]
-    assert len(by_block.masks) == 0
+    assert np.isnan(by_block).tolist() == [True]
     for route in _scoring_routes(demo, spec, 0b100):
         with pytest.raises(ValueError, match="cost value is not finite"):
             route()
@@ -446,7 +449,7 @@ def test_overflowing_size_term_is_a_non_finite_value(demo):
     by_score, by_flip, by_block = (route() for route in _scoring_routes(demo, gated, 0b101))
     assert not by_score.defined
     assert by_flip == [None]
-    assert len(by_block.masks) == 0
+    assert np.isnan(by_block).tolist() == [True]
 
 
 @pytest.mark.parametrize("degree", [-0.5, 1.5, math.nan])
@@ -461,6 +464,19 @@ def test_batched_tail_rejects_a_gate_degree_outside_0_1(demo, degree, monkeypatc
     for route in _scoring_routes(demo, spec, 0b101):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             route()
+
+
+@given(graphs(max_nodes=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_block_values_equal_evaluate_mask(g, data):
+    # Every nonempty subset in one block: its value bit for bit, NaN where
+    # a gate rules it out.
+    ev = SubsetEvaluator(g, data.draw(cost_specs(g)))
+    closures, sizes = ev.subset_closures(0, g.n_nodes)
+    masks = np.arange(1 << g.n_nodes)
+    values = ev.evaluate_block(masks[1:], closures[1:], sizes[1:])
+    expected = [ev.evaluate_mask(m).value for m in range(1, 1 << g.n_nodes)]
+    assert [None if math.isnan(v) else v.hex() for v in values.tolist()] == [None if v is None else v.hex() for v in expected]
 
 
 @given(graphs(max_nodes=6), st.data())

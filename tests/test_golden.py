@@ -17,7 +17,9 @@ multiples of 1/64 or 1/32: every soiled sum there is exact, so annealing
 sums its flips' soiled weights in one matrix-vector product. The
 sa-200 edge weights, 0.0025 and 0.005, are not dyadic, so
 ``sa-200-edge`` pins the ordered sum that rounds as ``evaluate_mask``
-does.
+does. In ``gated-73-ga`` no member of the genetic algorithm's first
+population passes the gate, so individual 0 is replaced by a feasible
+start.
 """
 from pathlib import Path
 
@@ -32,6 +34,8 @@ CASES = {
     "gated-73-sa": ("gated-73.graph", ["--optimizer", "sa", "--measure", "edge", *GATED, "fuzzy-small:8:0.25"]),
     "sa-200-edge": ("sa-200.graph", ["--measure", "edge"]),
     "edge-18-exhaustive": ("edge-18.graph", ["--measure", "edge", *GATED, "fuzzy-small:6:0.5"]),
+    "sa-200-ga": ("sa-200.graph", ["--optimizer", "ga"]),
+    "gated-73-ga": ("gated-73.graph", ["--optimizer", "ga", *GATED, "fuzzy-small:8:0.25"]),
 }
 
 

@@ -45,6 +45,12 @@ def test_comments_and_blank_lines_ignored():
     assert g.has_edge("a", "b")
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n"])
+def test_graph_file_without_nodes_is_rejected(text):
+    with pytest.raises(GraphError, match="^graph file declares no nodes$"):
+        parse_graph(text)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

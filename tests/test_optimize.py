@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critset import cost, optimize
+from critset import optimize
 from critset.constraints import same_component
 from critset.cost import CostSpec, SubsetEvaluator, gated_cost, over_n
 from critset.graphs import Graph
@@ -139,6 +139,38 @@ def test_evolve_best_is_gate_feasible(demo):
 def test_evolve_single_node_graph():
     result = evolve(Graph(["only"]), BETA_ONE, FAST_GA, rng_seed=1)
     assert result.best.seeds == frozenset({"only"})
+
+
+@pytest.mark.parametrize("search", [exhaustive_search, anneal, evolve])
+def test_searchers_reject_a_graph_without_nodes(search):
+    with pytest.raises(ValueError, match="^the graph has no nodes$"):
+        search(Graph([]), BETA_ONE)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_evolve_ranks_every_subset_it_scored(data):
+    # evaluations counts every individual assessed, repeats included, plus
+    # the subsets a feasible start took; the ranking is the full sort of
+    # every defined subset that was scored.
+    g = data.draw(st.one_of(graphs(max_nodes=7), star_graphs(6)))
+    spec = data.draw(cost_specs(g))
+    params = GaParams(population_size=data.draw(st.integers(2, 8)), generations=data.draw(st.integers(1, 6)))
+    rng_seed = data.draw(st.integers(0, 2**32))
+    top_k = data.draw(st.integers(1, 12))
+    scored, starts = set(), []
+    evaluate_mask, feasible_start = SubsetEvaluator.evaluate_mask, optimize._feasible_start
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SubsetEvaluator, "evaluate_mask", lambda self, m: scored.add(m) or evaluate_mask(self, m))
+        patch.setattr(optimize, "_feasible_start", lambda *a: starts.append(feasible_start(*a)) or starts[-1])
+        result = _outcome(functools.partial(evolve, top_k=top_k), g, spec, params, rng_seed)
+    if not isinstance(result, SearchResult):
+        return
+    evaluator = SubsetEvaluator(g, spec)
+    seen = {m: sc for m in scored if (sc := evaluator.evaluate_mask(m)).defined}
+    ranked = _full_sort_ranking(evaluator, seen, top_k)
+    evaluations = params.population_size * (params.generations + 1) + sum(used for _, _, used in starts)
+    assert result == SearchResult(ranked[0], ranked, evaluations, rng_seed, "ga")
 
 
 def test_schedule_validation():
@@ -305,9 +337,9 @@ def _walk_alone(g, spec, schedule, rng_seed, top_k):
     walks = []  # per restart, the neighbour each step scores, or 0 for none
     for r in range(schedule.restarts):
         rng = np.random.default_rng([rng_seed, r])
-        current, score, used = optimize._feasible_start(evaluator, rng, n)
+        current, value, used = optimize._feasible_start(evaluator, rng, n)
         evaluations += used
-        scored[current] = score.value
+        scored[current] = value
         walk = []
         temperature = schedule.initial_temperature
         while temperature >= schedule.minimum_temperature:
@@ -321,9 +353,9 @@ def _walk_alone(g, spec, schedule, rng_seed, top_k):
                 sc = evaluator.evaluate_mask(neighbor)
                 if not sc.defined:
                     continue
-                delta = sc.value - score.value
+                delta = sc.value - value
                 if delta >= 0.0 or draw < math.exp(delta / temperature):
-                    current, score = neighbor, sc
+                    current, value = neighbor, sc.value
             temperature *= schedule.cooling_factor
         walks.append(walk)
     for step in zip(*walks):
@@ -346,18 +378,12 @@ short_schedules = st.builds(
 )
 
 
-def _lockstep_equals_walking_alone(g, data, cache_limit=None):
-    # A cache_limit makes evaluate_mask, which scores the starts and the
-    # ranked candidates, clear its cache while it does; the reference below
-    # runs with the default limit.
+def _lockstep_equals_walking_alone(g, data):
     spec = data.draw(cost_specs(g))
     schedule = data.draw(short_schedules)
     rng_seed = data.draw(st.integers(0, 2**32))
     top_k = data.draw(st.integers(1, 12))
-    with pytest.MonkeyPatch.context() as patch:
-        if cache_limit is not None:
-            patch.setattr(cost, "SCORE_CACHE_LIMIT", cache_limit)
-        got = _outcome(functools.partial(anneal, top_k=top_k), g, spec, schedule, rng_seed)
+    got = _outcome(functools.partial(anneal, top_k=top_k), g, spec, schedule, rng_seed)
     assert got == _outcome(_walk_alone, g, spec, schedule, rng_seed, top_k)
 
 
@@ -365,14 +391,14 @@ def _lockstep_equals_walking_alone(g, data, cache_limit=None):
 @settings(max_examples=200, deadline=None)
 def test_anneal_equals_restarts_walking_alone(data):
     g = data.draw(st.one_of(graphs(max_nodes=7), edgeless_graphs(7), star_graphs(6)))
-    _lockstep_equals_walking_alone(g, data, cache_limit=data.draw(st.sampled_from([None, 3])))
+    _lockstep_equals_walking_alone(g, data)
 
 
 @given(wide_graphs(), st.data())
 @settings(max_examples=25, deadline=None)
 def test_anneal_equals_restarts_walking_alone_past_64_nodes(g, data):
     # Masks no longer fit in an int64; the walk stays on Python ints.
-    _lockstep_equals_walking_alone(g, data, cache_limit=3)
+    _lockstep_equals_walking_alone(g, data)
 
 
 @pytest.mark.parametrize("n_nodes,rng_seed", [(2, 4), (2, 10), (2, 11), (30, 0)])
@@ -386,8 +412,8 @@ def test_feasible_start_counts_the_subsets_it_scored(n_nodes, rng_seed):
     calls = []
     evaluate_mask = evaluator.evaluate_mask
     evaluator.evaluate_mask = lambda mask: calls.append(mask) or evaluate_mask(mask)
-    mask, score, used = optimize._feasible_start(evaluator, np.random.default_rng([rng_seed, 0]), n_nodes)
-    assert score.defined and mask.bit_count() == 1
+    mask, value, used = optimize._feasible_start(evaluator, np.random.default_rng([rng_seed, 0]), n_nodes)
+    assert value is not None and mask.bit_count() == 1
     assert used == len(calls)
     if n_nodes == 30:
         assert used == optimize._MAX_START_ATTEMPTS + 1
