@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .graphs import Graph, weak_components
+from .graphs import Graph, _mask_of, weak_components
 
 CRISP = "crisp"
 FUZZY = "fuzzy"
@@ -63,10 +63,7 @@ def same_component(g: Graph, seeds: frozenset[str]) -> float:
 
 
 def _compile_same_component(g: Graph) -> MaskPredicate:
-    partition = weak_components(g)
-    components = [0] * partition.n_components
-    for i, v in enumerate(g.node_ids):
-        components[partition.component_of[v]] |= 1 << i
+    components = [_mask_of(g, c) for c in weak_components(g).components]
 
     def holds(mask, n):
         inside = False
@@ -93,20 +90,12 @@ def cardinality_between(lo: int, hi: int) -> ConstraintEvaluator:
     return ConstraintEvaluator(f"cardinality:{lo}:{hi}", CRISP, evaluate, compile)
 
 
-def _check_known(g: Graph, ids: frozenset[str]):
+def _check_known(g: Graph, ids: frozenset[str]) -> int:
+    """The mask of ``ids``, once every one is checked to be a node of ``g``."""
     for v in ids:
         if not g.has_node(v):
             raise ValueError(f"constraint references unknown node id {v!r}")
-
-
-def _known_mask(g: Graph, ids: frozenset[str]) -> int:
-    """Bit mask of ``ids`` over ``g.node_ids``, once every id is checked."""
-    _check_known(g, ids)
-    index = {v: i for i, v in enumerate(g.node_ids)}
-    mask = 0
-    for v in ids:
-        mask |= 1 << index[v]
-    return mask
+    return _mask_of(g, ids)
 
 
 def require_nodes(required) -> ConstraintEvaluator:
@@ -118,7 +107,7 @@ def require_nodes(required) -> ConstraintEvaluator:
         return 1.0 if wanted <= seeds else 0.0
 
     def compile(g: Graph) -> MaskPredicate:
-        want = _known_mask(g, wanted)
+        want = _check_known(g, wanted)
         return lambda mask, n: (mask & want) == want
 
     return ConstraintEvaluator("require:" + ",".join(sorted(wanted)), CRISP, evaluate, compile)
@@ -133,7 +122,7 @@ def forbid_nodes(forbidden) -> ConstraintEvaluator:
         return 1.0 if not (banned & seeds) else 0.0
 
     def compile(g: Graph) -> MaskPredicate:
-        ban = _known_mask(g, banned)
+        ban = _check_known(g, banned)
         return lambda mask, n: (mask & ban) == 0
 
     return ConstraintEvaluator("forbid:" + ",".join(sorted(banned)), CRISP, evaluate, compile)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import constraints as _constraints
-from .graphs import MEASURE_MODES, Graph, _bits, _closure, _successor_indices, total_weight
+from .graphs import MEASURE_MODES, Graph, _bits, _closure, _ids_of, _mask_of, _rows, total_weight
 from .taint import seed_set
 
 CONST = "const"
@@ -212,14 +212,14 @@ class SubsetEvaluator:
     meets a subset again looks it up in its own table. ``evaluate``
     accepts plain node-id iterables and matches propagate + gated_cost
     done by hand; ``evaluate_mask`` scores one mask into a ``Score``.
-    ``flip_values`` scores one-node changes of several subsets: one numpy
-    pass over per-node coverage counts sums their soiled weights, and the
-    scalar tail that ``evaluate_mask`` uses (size tables, gates,
-    penalties, finiteness) gives their values. That pass is a
-    matrix-vector product when every subset sum of the weights is exact
-    in float64: each weight a multiple of 2^-K with K <= 1022, the weights
-    adding up to fewer than 2^53 such units (``_sums_exact``). Otherwise
-    it is an ordered sum.
+    ``flip_values`` scores one-node changes of several subsets from
+    per-node coverage counts. Both sum soiled weights in one numpy pass,
+    ``_soiled``, and value them through one scalar tail, ``_value`` (size
+    tables, gates, penalties, finiteness). That pass is a matrix-vector
+    product when every subset sum of the weights is exact in float64:
+    each weight a multiple of 2^-K with K <= 1022, the weights adding up
+    to fewer than 2^53 such units (``_sums_exact``). Otherwise it is an
+    ordered sum in ascending node order.
     ``evaluate_block`` values many subsets from their closures, which
     ``subset_closures`` enumerates, through that tail done over arrays.
     Constraints are compiled once into mask predicates for all of these.
@@ -228,8 +228,6 @@ class SubsetEvaluator:
     def __init__(self, graph: Graph, spec: CostSpec):
         self.graph = graph
         self.spec = spec
-        self._ids = graph.node_ids
-        self._index = {v: i for i, v in enumerate(self._ids)}
         self._n_total = graph.n_nodes
         if not self._n_total:
             raise ValueError("the graph has no nodes")
@@ -239,18 +237,17 @@ class SubsetEvaluator:
         self._tau = max((tau for _, tau in spec.gates), default=0.0)
         self._penalties = tuple((eps, _constraints.resolve(cid).compile(graph)) for eps, cid in spec.penalties)
 
-        succ = _successor_indices(graph)
-        self._reach = [_closure(succ, (v,)) for v in range(self._n_total)]
+        self._reach = [_closure(graph._succ, 1 << v) for v in range(self._n_total)]
 
         if spec.mode == "node":
-            self._weight = [graph.node_weight(v) for v in self._ids]
+            weight = [graph.node_weight(v) for v in graph.node_ids]
         else:
-            out_w = [0.0] * self._n_total
+            weight = [0.0] * self._n_total
             for s, _, w in graph.edges:
-                out_w[self._index[s]] += w
-            self._weight = out_w
-        self._weight_arr = np.array(self._weight, dtype=np.float64)
-        self._exact_sums = _sums_exact(self._weight)
+                weight[graph._index[s]] += w
+        self._weight = weight
+        self._weight_arr = np.array(weight, dtype=np.float64)
+        self._exact_sums = _sums_exact(weight)
         self._total = total_weight(graph, spec.mode)
 
     @property
@@ -258,13 +255,10 @@ class SubsetEvaluator:
         return self._n_total
 
     def mask_of(self, seeds: Iterable[str]) -> int:
-        mask = 0
-        for v in seed_set(self.graph, seeds):
-            mask |= 1 << self._index[v]
-        return mask
+        return _mask_of(self.graph, seed_set(self.graph, seeds))
 
     def seeds_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self._ids[i] for i in _bits(mask))
+        return _ids_of(self.graph, mask)
 
     def evaluate(self, seeds: Iterable[str]) -> Score:
         return self.evaluate_mask(self.mask_of(seeds))
@@ -273,19 +267,9 @@ class SubsetEvaluator:
         if mask <= 0 or mask >> self._n_total:
             raise ValueError(f"mask {mask:#x} is not a nonempty subset of the graph's nodes")
         closure = 0
-        m = mask
-        while m:
-            low = m & -m
-            closure |= self._reach[low.bit_length() - 1]
-            m ^= low
-        # An explicit loop, not sum(): sum() is compensated from Python 3.12 on.
-        soiled_w = 0.0
-        weight = self._weight
-        while closure:
-            low = closure & -closure
-            soiled_w += weight[low.bit_length() - 1]
-            closure ^= low
-        s = soiled_w / self._total
+        for i in _bits(mask):
+            closure |= self._reach[i]
+        (s,) = self._soiled(_rows([closure], self._n_total))
         n = mask.bit_count()
         value, mu = self._value(mask, n, s)
         return Score(value is not None, value, s, n, mu)
@@ -296,12 +280,8 @@ class SubsetEvaluator:
         0/1), what removing it does (row N + v: the negation), and a row of
         zeros (row 2N) for no change; int32 like the counts, since numpy adds
         and compares arrays of one dtype about twice as fast."""
-        n = self._n_total
-        # Bit u of a little-endian integer is bit u % 8 of its byte u // 8.
-        width = (n + 7) // 8
-        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self._reach), dtype=np.uint8)
-        rows = np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n].astype(np.int32)
-        return np.concatenate((rows, -rows, np.zeros((1, n), dtype=np.int32)))
+        rows = _rows(self._reach, self._n_total).astype(np.int32)
+        return np.concatenate((rows, -rows, np.zeros((1, self._n_total), dtype=np.int32)))
 
     def flip_values(
         self,
@@ -321,10 +301,7 @@ class SubsetEvaluator:
         ``steps[j]``. The moves are applied first, one round per move, and
         the lists emptied, so a walk pays only for the moves it made. Each
         soiled weight then takes O(N) array operations rather than one reach
-        set per seed. When each weight is a multiple of 2^-K, K <= 1022,
-        and they add up to fewer than 2^53 units of 2^-K, no sum rounds and
-        one matrix-vector product gives the soiled weights; otherwise they
-        are summed in ascending node order, as ``evaluate_mask`` adds.
+        set per seed, summed by ``_soiled`` as ``evaluate_mask`` sums it.
         """
         n = self._n_total
         table = self._reach_steps
@@ -336,13 +313,17 @@ class SubsetEvaluator:
         # counts + row s > 0 is counts > -row s, and row s +- N is -row s.
         negated = [s + n if s < n else s - n for s in steps]
         covered = counts.take(rows, axis=0) > table.take(negated, axis=0)
+        return [self._value(m, m.bit_count(), s)[0] for m, s in zip(masks, self._soiled(covered))]
+
+    def _soiled(self, covered: np.ndarray) -> list[float]:
+        """The soiled measure of each row of the bool array ``covered``
+        (column u: node u is soiled): a matrix-vector product when no sum
+        rounds (``_exact_sums``), else a cumsum in ascending node order."""
         if self._exact_sums:
-            soiled_w = (covered @ self._weight_arr).tolist()
+            soiled_w = covered @ self._weight_arr
         else:
-            # cumsum adds in ascending node order, as evaluate_mask does.
-            soiled_w = np.where(covered, self._weight_arr, 0.0).cumsum(axis=1)[:, -1].tolist()
-        total = self._total
-        return [self._value(m, m.bit_count(), w / total)[0] for m, w in zip(masks, soiled_w)]
+            soiled_w = np.where(covered, self._weight_arr, 0.0).cumsum(axis=1)[:, -1]
+        return (soiled_w / self._total).tolist()
 
     def _value(self, mask: int, n: int, s: float) -> tuple[float | None, float]:
         """The value of a mask of n seeds and soiled measure s (None where a
@@ -390,7 +371,7 @@ class SubsetEvaluator:
         """
         soiled_w = np.zeros(len(masks))
         for i, w in enumerate(self._weight):
-            # Ascending node order, as evaluate_mask adds; adding 0.0 changes no sum.
+            # Ascending node order, as _soiled adds; adding 0.0 changes no sum.
             soiled_w += np.where((closures >> i) & 1, w, 0.0)
         # _value over arrays.
         s = soiled_w / self._total

@@ -4,6 +4,8 @@ Node ids are plain string tokens. Node and edge weights are finite and
 strictly positive, and so are their totals; at most one edge may join an
 ordered (source, target) pair.
 Graphs are immutable once built; reachability is computed here, as bit masks.
+Node i is ``node_ids[i]``: bit i of a mask, column i of a row. ``_mask_of``,
+``_ids_of``, ``_rows`` and ``_masks`` convert between ids, masks and rows.
 """
 from __future__ import annotations
 
@@ -11,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
+
+import numpy as np
 
 MEASURE_MODES = ("node", "edge")
 
@@ -31,7 +35,10 @@ class GraphParseError(GraphError):
 
 
 def _check_weight(value, what: str) -> float:
-    w = float(value)
+    try:
+        w = float(value)
+    except (TypeError, ValueError):
+        raise GraphError(f"non-numeric weight {value!r} on {what}") from None
     if not math.isfinite(w):
         raise GraphError(f"non-finite weight {value!r} on {what}")
     if not w > 0:
@@ -54,7 +61,7 @@ class Graph:
     Self-loops, cycles, and disconnected graphs are all allowed.
     """
 
-    __slots__ = ("_node_w", "_edge_w", "_succ", "_total_node_w", "_total_edge_w", "_hash")
+    __slots__ = ("_node_w", "_edge_w", "_ids", "_index", "_succ", "_total_node_w", "_total_edge_w", "_hash")
 
     def __init__(self, nodes: Iterable[NodeSpec], edges: Iterable[EdgeSpec] = ()):
         # Records are checked one at a time, in order, and so are the running
@@ -62,7 +69,10 @@ class Graph:
         node_w: dict[str, float] = {}
         running = 0.0
         for spec in nodes:
-            node_id, w = (spec, 1.0) if isinstance(spec, str) else spec
+            try:
+                node_id, w = (spec, 1.0) if isinstance(spec, str) else spec
+            except (TypeError, ValueError):
+                raise GraphError(f"malformed node spec {spec!r}: expected an id or (id, weight)") from None
             if not isinstance(node_id, str) or not node_id or node_id.split() != [node_id]:
                 raise GraphError(f"node id must be a non-empty token without whitespace, got {node_id!r}")
             if node_id in node_w:
@@ -71,14 +81,16 @@ class Graph:
             node_w[node_id] = _check_weight(w, what)
             running = _add_to_total(running, node_w[node_id], what)
 
+        ids = tuple(node_w)
+        index = {v: i for i, v in enumerate(ids)}
         edge_w: dict[tuple[str, str], float] = {}
-        succ: dict[str, list[str]] = {v: [] for v in node_w}
+        succ: list[list[int]] = [[] for _ in ids]
         running = 0.0
         for spec in edges:
-            if len(spec) == 2:
-                src, dst, w = spec[0], spec[1], 1.0
-            else:
-                src, dst, w = spec
+            try:
+                src, dst, w = (*spec, 1.0) if len(spec) == 2 else spec
+            except (TypeError, ValueError):
+                raise GraphError(f"malformed edge spec {spec!r}: expected (src, dst) or (src, dst, weight)") from None
             for endpoint in (src, dst):
                 if endpoint not in node_w:
                     raise GraphError(f"edge ({src!r}, {dst!r}) references undeclared node {endpoint!r}")
@@ -87,11 +99,13 @@ class Graph:
             what = f"edge ({src!r}, {dst!r})"
             edge_w[(src, dst)] = _check_weight(w, what)
             running = _add_to_total(running, edge_w[(src, dst)], what)
-            succ[src].append(dst)
+            succ[index[src]].append(index[dst])
 
         self._node_w = node_w
         self._edge_w = edge_w
-        self._succ = {v: tuple(ts) for v, ts in succ.items()}
+        self._ids = ids
+        self._index = index
+        self._succ = succ  # entry i: the indices of node i's successors
         # sum() rather than the running totals: from Python 3.12 it
         # compensates rounding, so the two can differ in the last bits.
         self._total_node_w = sum(node_w.values())
@@ -102,7 +116,7 @@ class Graph:
 
     @property
     def node_ids(self) -> tuple[str, ...]:
-        return tuple(self._node_w)
+        return self._ids
 
     @property
     def n_nodes(self) -> int:
@@ -136,7 +150,7 @@ class Graph:
 
     def successors(self, node_id: str) -> tuple[str, ...]:
         try:
-            return self._succ[node_id]
+            return tuple(self._ids[j] for j in self._succ[self._index[node_id]])
         except KeyError:
             raise GraphError(f"unknown node id {node_id!r}") from None
 
@@ -161,43 +175,30 @@ class ComponentPartition:
     components: tuple[frozenset[str], ...]
     component_of: dict[str, int]
 
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
 
 @lru_cache(maxsize=128)
 def weak_components(g: Graph) -> ComponentPartition:
     """Partition nodes by connectivity in the undirected view of ``g``."""
-    ids = g.node_ids
-    index = {v: i for i, v in enumerate(ids)}
-    neighbors: list[list[int]] = [[] for _ in ids]
-    for src, dst, _ in g.edges:
-        neighbors[index[src]].append(index[dst])
-        neighbors[index[dst]].append(index[src])
+    neighbors = [list(ts) for ts in g._succ]
+    for i, ts in enumerate(g._succ):
+        for j in ts:
+            neighbors[j].append(i)
 
-    component_of: dict[str, int] = {}
     components: list[frozenset[str]] = []
-    for i, start in enumerate(ids):
-        if start in component_of:
-            continue
-        members = frozenset(ids[j] for j in _bits(_closure(neighbors, (i,))))
-        component_of.update(dict.fromkeys(members, len(components)))
-        components.append(members)
-    return ComponentPartition(tuple(components), component_of)
+    seen = 0
+    for i in range(g.n_nodes):
+        if not seen >> i & 1:
+            component = _closure(neighbors, 1 << i)
+            seen |= component
+            components.append(_ids_of(g, component))
+    return ComponentPartition(tuple(components), {v: k for k, c in enumerate(components) for v in c})
 
 
-def _successor_indices(g: Graph) -> list[list[int]]:
-    """Entry i lists the indices of the successors of ``g.node_ids[i]``."""
-    index = {v: i for i, v in enumerate(g.node_ids)}
-    return [[index[u] for u in g.successors(v)] for v in g.node_ids]
-
-
-def _closure(adjacency: list[list[int]], starts: Iterable[int]) -> int:
-    """Bit mask of the indices reachable from ``starts`` along ``adjacency``,
-    the starts included: bit i set means index i is reached."""
-    stack = list(starts)
-    seen = sum({1 << v for v in stack})
+def _closure(adjacency: list[list[int]], starts: int) -> int:
+    """Bit mask of the indices reachable along ``adjacency`` from those of
+    the mask ``starts``, the starts included."""
+    stack = list(_bits(starts))
+    seen = starts
     while stack:
         v = stack.pop()
         for u in adjacency[v]:
@@ -214,6 +215,34 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask_of(g: Graph, ids: Iterable[str]) -> int:
+    """The mask of the node ids ``ids``, every one a node of ``g``."""
+    index = g._index
+    mask = 0
+    for v in ids:
+        mask |= 1 << index[v]
+    return mask
+
+
+def _ids_of(g: Graph, mask: int) -> frozenset[str]:
+    """The node ids of the set bits of ``mask``."""
+    ids = g._ids
+    return frozenset(ids[i] for i in _bits(mask))
+
+
+def _rows(masks: Iterable[int], n: int) -> np.ndarray:
+    """Bool array of n columns whose row j, column u is bit u of ``masks[j]``."""
+    # Bit u of a little-endian integer is bit u % 8 of its byte u // 8.
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _masks(rows) -> list[int]:
+    """The mask of each row of ``rows``, nonzero column u setting bit u."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(rows, axis=1, bitorder="little")]
 
 
 def total_weight(g: Graph, mode: str = "node") -> float:

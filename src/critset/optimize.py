@@ -5,15 +5,16 @@ no scores: exhaustive enumeration (exact, capped at 22 nodes), which
 values all 2^N - 1 subsets in numpy blocks from closures built by
 doubling and keeps masks, values and sizes of those that can still
 rank; simulated annealing; and a genetic algorithm. The two heuristics
-each keep one table of mask -> value (None where gated out) that is both
-their cache and the pool they rank. Annealing's restarts walk in
-lockstep over it, so that each step sums the soiled weights of the flips
-missing from it in one numpy pass over the restarts' coverage counts and
-scores them through the evaluator's scalar tail. Each searcher hands
-``_result`` the values it found, and ``_result`` builds ``Score``s only
-for the masks that make the ranking. The two randomized searchers are
-heuristics; the test suite verifies them against the exhaustive result
-instead of assuming global optimality.
+walk over int masks and each keep one table of mask -> value (None where
+gated out) that is both their cache and the pool they rank. Annealing's
+restarts walk in lockstep over it, so that each step sums the soiled
+weights of the flips missing from it in one numpy pass over the
+restarts' coverage counts, the pass and scalar tail ``evaluate_mask``
+scores one subset with. Each searcher hands ``_result`` the values it
+found, and ``_result`` builds ``Score``s only for the masks that make the
+ranking. The two randomized searchers are heuristics; the test suite
+verifies them against the exhaustive result instead of assuming global
+optimality.
 All are deterministic for a fixed rng seed; annealing restarts draw
 independent streams derived from (seed, restart index).
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostSpec, Score, SubsetEvaluator
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _masks
 
 EXHAUSTIVE_NODE_CAP = 22
 # Subsets exhaustive search scores per numpy pass; a power of two. It bounds
@@ -204,12 +205,9 @@ def _feasible_start(evaluator, rng, n):
     random order."""
     used = 0
     for _ in range(_MAX_START_ATTEMPTS):
-        bits = np.flatnonzero(rng.integers(0, 2, n))
-        if bits.size == 0:
+        mask = _masks([rng.integers(0, 2, n)])[0]
+        if not mask:
             continue
-        mask = 0
-        for i in bits.tolist():
-            mask |= 1 << i
         value = evaluator.evaluate_mask(mask).value
         used += 1
         if value is not None:
@@ -333,8 +331,10 @@ def evolve(
     *,
     top_k: int = 10,
 ) -> SearchResult:
-    """Genetic algorithm over N-bit membership vectors.
+    """Genetic algorithm over seed masks.
 
+    Individuals are int masks, as annealing's subsets are. Crossover and
+    mutation draw numpy 0/1 rows, one column per node, packed into masks.
     Gate-undefined individuals get fitness below every defined score, so
     they lose tournaments to any defined rival and are never kept as
     elites over a defined one. If the whole first population is undefined,
@@ -350,10 +350,11 @@ def evolve(
     rng = np.random.default_rng([rng_seed])
     pop_size = params.population_size
 
-    population = rng.integers(0, 2, (pop_size, n), dtype=np.uint8)
-    for row in range(pop_size):
-        if not population[row].any():
-            population[row, rng.integers(0, n)] = 1
+    population = _masks(rng.integers(0, 2, (pop_size, n), dtype=np.uint8))
+    for i in range(pop_size):
+        if not population[i]:
+            # int(): 1 << np.int64(k) wraps to 0 from k = 64 on.
+            population[i] = 1 << int(rng.integers(0, n))
 
     # Every subset scored so far: its value, or None where a gate rules it
     # out. It is both the search's cache and the pool it ranks.
@@ -363,39 +364,32 @@ def evolve(
     def assess(pop):
         nonlocal evaluations
         evaluations += len(pop)
-        fitness = []
-        for row in pop:
-            mask = 0
-            for i in np.flatnonzero(row).tolist():
-                mask |= 1 << i
+        for mask in pop:
             if mask not in table:
                 table[mask] = evaluator.evaluate_mask(mask).value
-            value = table[mask]
-            fitness.append(-math.inf if value is None else value)
-        return fitness
+        return [-math.inf if table[mask] is None else table[mask] for mask in pop]
 
     fitness = assess(population)
     if max(fitness) == -math.inf:
         mask, value, used = _feasible_start(evaluator, rng, n)
-        population[0] = [mask >> i & 1 for i in range(n)]
+        population[0] = mask
         fitness[0] = table[mask] = value
         evaluations += used
     for _ in range(params.generations):
         order = sorted(range(pop_size), key=lambda i: (-fitness[i], i))
         elites = [i for i in order if fitness[i] > -math.inf][: params.elitism_count]
-        offspring = [population[i].copy() for i in elites]
+        offspring = [population[i] for i in elites]
         while len(offspring) < pop_size:
-            a = _tournament(rng, fitness, params.tournament_size)
-            b = _tournament(rng, fitness, params.tournament_size)
+            a = population[_tournament(rng, fitness, params.tournament_size)]
+            b = population[_tournament(rng, fitness, params.tournament_size)]
             if rng.random() < params.crossover_rate:
-                pick = rng.integers(0, 2, n, dtype=np.uint8)
-                child = np.where(pick, population[a], population[b]).astype(np.uint8)
-            else:
-                child = population[a].copy()
-            child ^= (rng.random(n) < mutation_rate).astype(np.uint8)
-            if not child.any():
-                child[rng.integers(0, n)] = 1
+                # Uniform crossover: each bit from a where pick has it, else from b.
+                pick = _masks([rng.integers(0, 2, n, dtype=np.uint8)])[0]
+                a = a & pick | b & ~pick
+            child = a ^ _masks([rng.random(n) < mutation_rate])[0]
+            if not child:
+                child = 1 << int(rng.integers(0, n))
             offspring.append(child)
-        population = np.stack(offspring)
+        population = offspring
         fitness = assess(population)
     return _result(evaluator, table, evaluations, rng_seed, "ga", top_k)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, _bits, _closure, _successor_indices, total_weight
+from .graphs import Graph, _closure, _ids_of, _mask_of, total_weight
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,7 @@ def propagate(g: Graph, nodes: Iterable[str]) -> SoiledReport:
     appears at most once.
     """
     seeds = seed_set(g, nodes)
-    ids = g.node_ids
-    starts = [i for i, v in enumerate(ids) if v in seeds]
-    soiled = frozenset(ids[i] for i in _bits(_closure(_successor_indices(g), starts)))
+    soiled = _ids_of(g, _closure(g._succ, _mask_of(g, seeds)))
     soiled_edges = frozenset((s, t) for s, t, _ in g.edges if s in soiled)
     return SoiledReport(seeds, soiled, soiled_edges)
 

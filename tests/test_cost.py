@@ -21,9 +21,9 @@ from critset.cost import (
     over_n,
     parse_cost_config,
 )
-from critset.graphs import MEASURE_MODES, Graph, _bits, _closure, _successor_indices
+from critset.graphs import MEASURE_MODES, Graph, _bits, _mask_of, total_weight
 from critset.ingest import build_from_log, generate_log
-from critset.taint import soil
+from critset.taint import propagate, soil
 
 from .strategies import cost_specs, graphs, graphs_and_seeds, wide_graphs
 
@@ -292,6 +292,27 @@ def test_evaluator_edge_mode_agrees(case):
     assert math.isclose(ev.evaluate(seeds).soiled, s, rel_tol=1e-12, abs_tol=1e-12)
 
 
+@given(st.sampled_from(MEASURE_MODES), graphs_and_seeds())
+@settings(max_examples=300)
+def test_evaluate_mask_soiled_is_the_ascending_loop(mode, case):
+    # The soiled measure, bit for bit: propagate's soiled nodes in ascending
+    # node order, each adding its weight (under the edge measure its
+    # out-edge total), over the graph's total. The weights are not dyadic,
+    # so these sums round and their order shows.
+    g, seeds = case
+    assume(mode == "node" or g.n_edges)
+    out_w = dict.fromkeys(g.node_ids, 0.0)
+    for s, _, w in g.edges:
+        out_w[s] += w
+    soiled = propagate(g, seeds).soiled_nodes
+    expected = 0.0
+    for v in g.node_ids:
+        if v in soiled:
+            expected += g.node_weight(v) if mode == "node" else out_w[v]
+    ev = SubsetEvaluator(g, CostSpec(mode=mode))
+    assert ev.evaluate_mask(ev.mask_of(seeds)).soiled.hex() == (expected / total_weight(g, mode)).hex()
+
+
 @given(graphs_and_seeds())
 @settings(max_examples=200)
 def test_same_component_gate_via_evaluator(case):
@@ -306,8 +327,7 @@ def _walk_flips_side_by_side(g, spec, data):
     # out), and every counts row the counts of its walk's mask from scratch.
     n = g.n_nodes
     ev = SubsetEvaluator(g, spec)
-    succ = _successor_indices(g)
-    reach = [_closure(succ, (v,)) for v in range(n)]
+    reach = [_mask_of(g, propagate(g, [v]).soiled_nodes) for v in g.node_ids]
     subsets = st.integers(1, (1 << n) - 1)
     masks = data.draw(st.lists(subsets, min_size=2, max_size=4))
     counts = np.zeros((len(masks), n), dtype=np.int32)

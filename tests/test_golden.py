@@ -16,10 +16,11 @@ Node weights are 1, and edge-18 and gated-73 have edge weights that are
 multiples of 1/64 or 1/32: every soiled sum there is exact, so annealing
 sums its flips' soiled weights in one matrix-vector product. The
 sa-200 edge weights, 0.0025 and 0.005, are not dyadic, so
-``sa-200-edge`` pins the ordered sum that rounds as ``evaluate_mask``
-does. In ``gated-73-ga`` no member of the genetic algorithm's first
-population passes the gate, so individual 0 is replaced by a feasible
-start.
+``sa-200-edge`` pins the ordered sum that rounds, in annealing's flips,
+and ``sa-200-ga-edge`` pins it in ``evaluate_mask``, which scores every
+individual of the genetic algorithm; the other ``ga`` cases sum exactly.
+In ``gated-73-ga`` no member of the genetic algorithm's first population
+passes the gate, so individual 0 is replaced by a feasible start.
 """
 from pathlib import Path
 
@@ -35,6 +36,7 @@ CASES = {
     "sa-200-edge": ("sa-200.graph", ["--measure", "edge"]),
     "edge-18-exhaustive": ("edge-18.graph", ["--measure", "edge", *GATED, "fuzzy-small:6:0.5"]),
     "sa-200-ga": ("sa-200.graph", ["--optimizer", "ga"]),
+    "sa-200-ga-edge": ("sa-200.graph", ["--optimizer", "ga", "--measure", "edge"]),
     "gated-73-ga": ("gated-73.graph", ["--optimizer", "ga", *GATED, "fuzzy-small:8:0.25"]),
 }
 

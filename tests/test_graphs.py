@@ -9,6 +9,8 @@ from critset.graphs import (
     Graph,
     GraphError,
     GraphParseError,
+    _masks,
+    _rows,
     parse_graph,
     serialize_graph,
     total_weight,
@@ -157,6 +159,32 @@ def test_constructor_rejects_bad_ids():
 def test_constructor_rejects_non_finite_weights(nodes, edges):
     with pytest.raises(GraphError, match="finite"):
         Graph(nodes, edges)
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, fragment",
+    [
+        (["a", "b"], [("a",)], "malformed edge spec ('a',)"),
+        ([5], [], "malformed node spec 5"),
+        ([("a", "x")], [], "non-numeric weight 'x' on node 'a'"),
+    ],
+)
+def test_constructor_rejects_malformed_specs(nodes, edges, fragment):
+    with pytest.raises(GraphError) as info:
+        Graph(nodes, edges)
+    assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 196])
+@given(st.data())
+@settings(max_examples=50)
+def test_mask_row_codec_round_trips(n, data):
+    full = (1 << n) - 1
+    masks = [0, full, *data.draw(st.lists(st.integers(0, full), max_size=5))]
+    rows = _rows(masks, n)
+    assert rows.dtype == bool and rows.shape == (len(masks), n)
+    assert _masks(rows) == masks
+    assert all(rows[j, u] == (m >> u & 1) for j, m in enumerate(masks) for u in range(n))
 
 
 def test_unknown_node_lookups_raise():
