@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import constraints as _constraints
-from .graphs import MEASURE_MODES, Graph, _bits, _closure, _ids_of, _mask_of, _rows, total_weight
-from .taint import seed_set
+from .graphs import MEASURE_MODES, Graph, _bits, _closure, _ids_of, _mask_of, _rows
+from .taint import _Measure, seed_set
 
 CONST = "const"
 OVER_N = "inv"
@@ -188,21 +188,6 @@ def gated_cost(
     return Score(False, None, soiled, n, mu)
 
 
-def _sums_exact(weights: Sequence[float]) -> bool:
-    """Whether every sum of positive ``weights``, over any subset and in any
-    order, is exact in float64.
-
-    Write each weight as p / 2^e and let K be the largest e. Every partial
-    sum is then a multiple of 2^-K, at most the total of p * 2^(K - e) of
-    them. A float64 holds such a sum exactly when that total is below 2^53
-    and K <= 1022 (so no sum is subnormal), and then no addition rounds.
-    """
-    ratios = [w.as_integer_ratio() for w in weights]
-    # A float's ratio has a power-of-two denominator 2^e; e is its bit length - 1.
-    k = max((d.bit_length() - 1 for _, d in ratios), default=0)
-    return k <= 1022 and sum(p << (k - d.bit_length() + 1) for p, d in ratios) < 1 << 53
-
-
 class SubsetEvaluator:
     """Scores seed subsets of one graph under one CostSpec.
 
@@ -212,17 +197,15 @@ class SubsetEvaluator:
     meets a subset again looks it up in its own table. ``evaluate``
     accepts plain node-id iterables and matches propagate + gated_cost
     done by hand; ``evaluate_mask`` scores one mask into a ``Score``.
-    ``flip_values`` scores one-node changes of several subsets from
-    per-node coverage counts. Both sum soiled weights in one numpy pass,
-    ``_soiled``, and value them through one scalar tail, ``_value`` (size
-    tables, gates, penalties, finiteness). That pass is a matrix-vector
-    product when every subset sum of the weights is exact in float64:
-    each weight a multiple of 2^-K with K <= 1022, the weights adding up
-    to fewer than 2^53 such units (``_sums_exact``). Otherwise it is an
-    ordered sum in ascending node order.
-    ``evaluate_block`` values many subsets from their closures, which
-    ``subset_closures`` enumerates, through that tail done over arrays.
-    Constraints are compiled once into mask predicates for all of these.
+    ``flip_values`` scores one-node changes of several subsets from the
+    per-node coverage counts their caller keeps current. Both take S from
+    ``taint._Measure``, the soiled measure ``soil()`` uses, and value it
+    through one scalar tail, ``_value`` (size tables, gates, penalties,
+    finiteness).
+    ``evaluate_block`` values many subsets from the closures that
+    ``subset_closures`` enumerates, adding the same weights in the same
+    order, through that tail over arrays. Constraints are compiled once
+    into mask predicates for all of these.
     """
 
     def __init__(self, graph: Graph, spec: CostSpec):
@@ -238,21 +221,7 @@ class SubsetEvaluator:
         self._penalties = tuple((eps, _constraints.resolve(cid).compile(graph)) for eps, cid in spec.penalties)
 
         self._reach = [_closure(graph._succ, 1 << v) for v in range(self._n_total)]
-
-        if spec.mode == "node":
-            weight = [graph.node_weight(v) for v in graph.node_ids]
-        else:
-            weight = [0.0] * self._n_total
-            for s, _, w in graph.edges:
-                weight[graph._index[s]] += w
-        self._weight = weight
-        self._weight_arr = np.array(weight, dtype=np.float64)
-        self._exact_sums = _sums_exact(weight)
-        self._total = total_weight(graph, spec.mode)
-
-    @property
-    def n_total(self) -> int:
-        return self._n_total
+        self._measure = _Measure(graph, spec.mode)
 
     def mask_of(self, seeds: Iterable[str]) -> int:
         return _mask_of(self.graph, seed_set(self.graph, seeds))
@@ -269,61 +238,37 @@ class SubsetEvaluator:
         closure = 0
         for i in _bits(mask):
             closure |= self._reach[i]
-        (s,) = self._soiled(_rows([closure], self._n_total))
+        (s,) = self._measure.soiled(_rows([closure], self._n_total))
         n = mask.bit_count()
         value, mu = self._value(mask, n, s)
         return Score(value is not None, value, s, n, mu)
 
     @cached_property
     def _reach_steps(self) -> np.ndarray:
-        """What adding seed v does to coverage counts (row v: reach(v) as
-        0/1), what removing it does (row N + v: the negation), and a row of
-        zeros (row 2N) for no change; int32 like the counts, since numpy adds
-        and compares arrays of one dtype about twice as fast."""
+        """What adding seed v does to coverage counts (row v: reach(v) as 0/1),
+        removing it (row N + v: the negation) and no move (row 2N: zeros);
+        int32 like the counts: numpy adds and compares one dtype faster."""
         rows = _rows(self._reach, self._n_total).astype(np.int32)
         return np.concatenate((rows, -rows, np.zeros((1, self._n_total), dtype=np.int32)))
 
     def flip_values(
-        self,
-        counts: np.ndarray,
-        moves: list[list[int]],
-        rows: Sequence[int],
-        masks: Sequence[int],
-        steps: Sequence[int],
+        self, counts: np.ndarray, rows: Sequence[int], masks: Sequence[int], steps: Sequence[int]
     ) -> list[float | None]:
         """The value of each ``masks[j]``, or None where a gate rules it out;
         bit for bit that of ``evaluate_mask``.
 
-        Moves are ``_reach_steps`` rows: v adds node v, N + v removes it.
-        ``counts[r, u]`` is how many seeds reach node u in the mask that row
-        r held before the moves ``moves[r]``, and ``masks[j]`` is the mask
-        that row ``rows[j]`` reaches after them by one more move,
-        ``steps[j]``. The moves are applied first, one round per move, and
-        the lists emptied, so a walk pays only for the moves it made. Each
-        soiled weight then takes O(N) array operations rather than one reach
-        set per seed, summed by ``_soiled`` as ``evaluate_mask`` sums it.
+        ``counts[r, u]`` is how many seeds of row r's mask reach node u, and
+        ``masks[j]`` is row ``rows[j]``'s mask after one move ``steps[j]``,
+        a ``_reach_steps`` row (v adds node v, N + v removes it). Each S
+        takes O(N) array operations rather than one reach set per seed.
         """
         n = self._n_total
         table = self._reach_steps
-        for k in range(max(map(len, moves))):
-            # take() gathers rows faster than fancy indexing does.
-            counts += table.take([m[k] if k < len(m) else 2 * n for m in moves], axis=0)
-        for m in moves:
-            m.clear()
         # counts + row s > 0 is counts > -row s, and row s +- N is -row s.
         negated = [s + n if s < n else s - n for s in steps]
+        # take() gathers rows faster than fancy indexing does.
         covered = counts.take(rows, axis=0) > table.take(negated, axis=0)
-        return [self._value(m, m.bit_count(), s)[0] for m, s in zip(masks, self._soiled(covered))]
-
-    def _soiled(self, covered: np.ndarray) -> list[float]:
-        """The soiled measure of each row of the bool array ``covered``
-        (column u: node u is soiled): a matrix-vector product when no sum
-        rounds (``_exact_sums``), else a cumsum in ascending node order."""
-        if self._exact_sums:
-            soiled_w = covered @ self._weight_arr
-        else:
-            soiled_w = np.where(covered, self._weight_arr, 0.0).cumsum(axis=1)[:, -1]
-        return (soiled_w / self._total).tolist()
+        return [self._value(m, m.bit_count(), s)[0] for m, s in zip(masks, self._measure.soiled(covered))]
 
     def _value(self, mask: int, n: int, s: float) -> tuple[float | None, float]:
         """The value of a mask of n seeds and soiled measure s (None where a
@@ -370,11 +315,11 @@ class SubsetEvaluator:
         outside [0, 1] or a non-finite defined score.
         """
         soiled_w = np.zeros(len(masks))
-        for i, w in enumerate(self._weight):
-            # Ascending node order, as _soiled adds; adding 0.0 changes no sum.
+        for i, w in enumerate(self._measure.weights.tolist()):
+            # Ascending node order, as _Measure adds; adding 0.0 changes no sum.
             soiled_w += np.where((closures >> i) & 1, w, 0.0)
         # _value over arrays.
-        s = soiled_w / self._total
+        s = soiled_w / self._measure.total
         mu = np.ones(len(masks))
         for pred in self._gate_preds:
             degree = np.asarray(pred(masks, sizes), dtype=np.float64)

@@ -6,15 +6,14 @@ values all 2^N - 1 subsets in numpy blocks from closures built by
 doubling and keeps masks, values and sizes of those that can still
 rank; simulated annealing; and a genetic algorithm. The two heuristics
 walk over int masks and each keep one table of mask -> value (None where
-gated out) that is both their cache and the pool they rank. Annealing's
-restarts walk in lockstep over it, so that each step sums the soiled
-weights of the flips missing from it in one numpy pass over the
-restarts' coverage counts, the pass and scalar tail ``evaluate_mask``
-scores one subset with. Each searcher hands ``_result`` the values it
-found, and ``_result`` builds ``Score``s only for the masks that make the
-ranking. The two randomized searchers are heuristics; the test suite
-verifies them against the exhaustive result instead of assuming global
-optimality.
+gated out) that is both their cache and the pool they rank, and stop
+once it holds every nonempty subset. Annealing's restarts walk in
+lockstep over it: each step values the flips missing from it in one
+numpy pass over the per-node coverage counts each restart keeps
+current, with the measure and tail ``evaluate_mask`` uses. ``_result``
+builds ``Score``s only for the masks that make the ranking. The two
+randomized searchers are heuristics; the test suite verifies them
+against the exhaustive result instead of assuming global optimality.
 All are deterministic for a fixed rng seed; annealing restarts draw
 independent streams derived from (seed, restart index).
 """
@@ -244,7 +243,7 @@ def anneal(
     has scored every nonempty subset, when its ranking is exact.
     """
     evaluator = SubsetEvaluator(g, spec)
-    n = evaluator.n_total
+    n = g.n_nodes
     every_subset = (1 << n) - 1
     rngs = [np.random.default_rng([rng_seed, r]) for r in range(schedule.restarts)]
     # Every subset scored so far: its value, or None where a gate rules it
@@ -259,12 +258,13 @@ def anneal(
         current.append(mask)
         values.append(value)
         evaluations += used
-    # Per-node seed counts of each restart's mask as of the last step that
-    # had a miss (the empty mask's before the first), and the moves it made
-    # since, as reach-step rows (v adds node v, n + v removes it):
-    # flip_values applies them on such steps.
-    counts = np.zeros((len(rngs), n), dtype=np.int32)
-    moves = [list(_bits(mask)) for mask in current]
+    # Per-node seed counts of each restart's mask, brought up to date at the
+    # end of every step by adding each restart's reach-step row (v adds node
+    # v, n + v removes it, 2n is no move) in one array add, a third of the
+    # time of an indexed add over the rows that moved.
+    reach_steps = evaluator._reach_steps
+    counts = np.array([reach_steps[list(_bits(m))].sum(axis=0, dtype=np.int32) for m in current])
+    still = [2 * n] * len(rngs)
     steps = schedule.steps_per_temperature
     temperature = schedule.initial_temperature
     exp = math.exp
@@ -279,6 +279,7 @@ def anneal(
             # neighbours are scored together, and then they move. A flip
             # that would empty the subset is no move.
             misses, neighbors, miss_moves = [], [], []
+            made = still.copy()
             for r, (mask, v, draw) in enumerate(zip(current, step_flips, step_draws)):
                 neighbor = mask ^ (1 << v)
                 if neighbor == 0:
@@ -296,20 +297,21 @@ def anneal(
                     if delta >= 0.0 or draw < exp(delta / temperature):
                         current[r] = neighbor
                         values[r] = value
-                        moves[r].append(v if neighbor > mask else n + v)
-            if not misses:
-                continue
-            scored = evaluator.flip_values(counts, moves, misses, neighbors, miss_moves)
-            for r, neighbor, move, value in zip(misses, neighbors, miss_moves, scored):
-                table[neighbor] = value
-                if value is not None:
-                    delta = value - values[r]
-                    if delta >= 0.0 or step_draws[r] < exp(delta / temperature):
-                        current[r] = neighbor
-                        values[r] = value
-                        moves[r].append(move)
-            if len(table) == every_subset:
-                break
+                        made[r] = v if neighbor > mask else n + v
+            if misses:
+                scored = evaluator.flip_values(counts, misses, neighbors, miss_moves)
+                for r, neighbor, move, value in zip(misses, neighbors, miss_moves, scored):
+                    table[neighbor] = value
+                    if value is not None:
+                        delta = value - values[r]
+                        if delta >= 0.0 or step_draws[r] < exp(delta / temperature):
+                            current[r] = neighbor
+                            values[r] = value
+                            made[r] = move
+                if len(table) == every_subset:
+                    break
+            if made != still:
+                counts += reach_steps.take(made, axis=0)
         temperature *= schedule.cooling_factor
     return _result(evaluator, table, evaluations, rng_seed, "sa", top_k)
 
@@ -342,7 +344,8 @@ def evolve(
     Empty offspring are repaired by setting one random bit. Individuals
     already in the table of scored subsets are looked up, not rescored,
     but ``evaluations`` counts every one assessed; the ranking is over
-    the whole table.
+    the whole table. The search stops early once it has scored every
+    nonempty subset, when its ranking is exact.
     """
     n = g.n_nodes
     evaluator = SubsetEvaluator(g, spec)
@@ -376,6 +379,8 @@ def evolve(
         fitness[0] = table[mask] = value
         evaluations += used
     for _ in range(params.generations):
+        if len(table) == (1 << n) - 1:
+            break  # every subset is scored: the ranking is exact
         order = sorted(range(pop_size), key=lambda i: (-fitness[i], i))
         elites = [i for i in order if fitness[i] > -math.inf][: params.elitism_count]
         offspring = [population[i] for i in elites]

@@ -4,13 +4,18 @@ A soiled node is anything forward-reachable from the seed set; an edge is
 soiled when its source node is soiled, so an edge leaving a corrupt element
 carries the corruption regardless of where it points. Cycles contribute each
 node and edge exactly once because both collections are sets.
+
+``soil()`` and ``cost.SubsetEvaluator`` share one soiled measure,
+``_Measure``, so they agree bit for bit on every Python version.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graphs import Graph, _closure, _ids_of, _mask_of, total_weight
+import numpy as np
+
+from .graphs import Graph, _closure, _ids_of, _mask_of, _rows, total_weight
 
 
 @dataclass(frozen=True)
@@ -50,20 +55,64 @@ def propagate(g: Graph, nodes: Iterable[str]) -> SoiledReport:
     return SoiledReport(seeds, soiled, soiled_edges)
 
 
+def _sums_exact(weights: Sequence[float]) -> bool:
+    """Whether every sum of positive ``weights``, over any subset and in any
+    order, is exact in float64.
+
+    Write each weight as p / 2^e and let K be the largest e. Every partial
+    sum is then a multiple of 2^-K, at most the total of p * 2^(K - e) of
+    them. A float64 holds such a sum exactly when that total is below 2^53
+    and K <= 1022 (so no sum is subnormal), and then no addition rounds.
+    """
+    ratios = [w.as_integer_ratio() for w in weights]
+    # A float's ratio has a power-of-two denominator 2^e; e is its bit length - 1.
+    k = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    units = 0
+    for p, d in ratios:
+        units += p << (k - d.bit_length() + 1)
+    return k <= 1022 and units < 1 << 53
+
+
+class _Measure:
+    """The soiled measure of one graph under one mode. ``weights[u]`` is
+    what soiled node u adds: its weight, or under the edge measure the
+    total of its out-edges in edge order. A soiled weight is a matrix-vector
+    product when every sum of the weights is exact in float64 (``exact``),
+    else an ordered sum in ascending node order. ``total``, the ordered sum
+    of all the weights, makes S at most 1, and 1 when all is soiled."""
+
+    def __init__(self, g: Graph, mode: str):
+        total_weight(g, mode)  # rejects an unknown mode, and the edge measure without edges
+        if mode == "node":
+            weights = [g.node_weight(v) for v in g.node_ids]
+        else:
+            weights = [0.0] * g.n_nodes
+            for s, _, w in g.edges:
+                weights[g._index[s]] += w
+        self.weights = np.array(weights, dtype=np.float64)
+        self.exact = _sums_exact(weights)
+        self.total = np.add.accumulate(self.weights)[-1]
+
+    def soiled(self, covered: np.ndarray) -> list[float]:
+        """S of each row of the bool array ``covered`` (column u: node u soiled)."""
+        if self.exact:
+            weight = covered @ self.weights
+        else:
+            weight = np.add.accumulate(np.where(covered, self.weights, 0.0), axis=1)[:, -1]
+        return (weight / self.total).tolist()
+
+
 def soiled_measure(g: Graph, report: SoiledReport, mode: str = "node") -> float:
     """Weight of the soiled segment as a fraction of the graph's total weight.
 
     ``mode="node"`` weighs soiled nodes, ``mode="edge"`` weighs soiled
-    edges (each counted once even across cycles). Always in [0, 1].
+    edges, those leaving the report's soiled nodes (each counted once even
+    across cycles). Always in [0, 1].
     """
-    total = total_weight(g, mode)
-    if mode == "node":
-        members = report.soiled_nodes
-        soiled = sum(g.node_weight(v) for v in g.node_ids if v in members)
-    else:
-        members = report.soiled_edges
-        soiled = sum(w for s, t, w in g.edges if (s, t) in members)
-    return soiled / total
+    unknown = sorted(v for v in report.soiled_nodes if not g.has_node(v))
+    if unknown:
+        raise ValueError(f"soiled node {unknown[0]!r} not in graph")
+    return _Measure(g, mode).soiled(_rows([_mask_of(g, report.soiled_nodes)], g.n_nodes))[0]
 
 
 def soil(g: Graph, nodes: Iterable[str], mode: str = "node") -> tuple[SoiledReport, float, float]:

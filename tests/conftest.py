@@ -27,10 +27,17 @@ def demo_graph_file(tmp_path):
 @pytest.fixture(scope="session")
 def cli_env():
     """Environment for `python -m critset` subprocesses: the source root of
-    the package under test leads PYTHONPATH, so they run the same code."""
+    the package under test leads PYTHONPATH, so they run the same code, and
+    a numpy RuntimeWarning fails them as it fails the tests in process (the
+    last PYTHONWARNINGS entry takes precedence)."""
     src = str(Path(critset.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    warnings = [os.environ.get("PYTHONWARNINGS", ""), "error::RuntimeWarning"]
+    return dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(p for p in paths if p),
+        PYTHONWARNINGS=",".join(w for w in warnings if w),
+    )
 
 
 @pytest.fixture(scope="session")

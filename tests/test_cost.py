@@ -13,7 +13,6 @@ from critset.cost import (
     CostConfigError,
     CostSpec,
     SubsetEvaluator,
-    _sums_exact,
     basic_cost,
     constant,
     gated_cost,
@@ -21,9 +20,9 @@ from critset.cost import (
     over_n,
     parse_cost_config,
 )
-from critset.graphs import MEASURE_MODES, Graph, _bits, _mask_of, total_weight
+from critset.graphs import MEASURE_MODES, Graph, _bits, _mask_of
 from critset.ingest import build_from_log, generate_log
-from critset.taint import propagate, soil
+from critset.taint import _sums_exact, propagate, soil
 
 from .strategies import cost_specs, graphs, graphs_and_seeds, wide_graphs
 
@@ -281,36 +280,42 @@ def test_evaluator_agrees_with_direct_route(case):
         assert math.isclose(got.value, expected.value, rel_tol=1e-12, abs_tol=1e-12)
 
 
-@given(graphs_and_seeds())
-@settings(max_examples=200)
-def test_evaluator_edge_mode_agrees(case):
-    g, seeds = case
-    if g.n_edges == 0:
-        return
-    ev = SubsetEvaluator(g, CostSpec(mode="edge"))
-    _, s, _ = soil(g, seeds, mode="edge")
-    assert math.isclose(ev.evaluate(seeds).soiled, s, rel_tol=1e-12, abs_tol=1e-12)
+@given(st.booleans(), st.sampled_from(MEASURE_MODES), st.data())
+@settings(max_examples=400)
+def test_evaluator_edge_mode_agrees(dyadic, mode, data):
+    # soil() measures through the evaluator's core: the same S bit for bit
+    # under both measures, whether the sums round (float weights) or not.
+    g = data.draw(graphs(dyadic=dyadic))
+    assume(mode == "node" or g.n_edges)
+    seeds = data.draw(st.sets(st.sampled_from(list(g.node_ids)), min_size=1))
+    ev = SubsetEvaluator(g, CostSpec(mode=mode))
+    assert soil(g, seeds, mode)[1].hex() == ev.evaluate(seeds).soiled.hex()
 
 
 @given(st.sampled_from(MEASURE_MODES), graphs_and_seeds())
 @settings(max_examples=300)
 def test_evaluate_mask_soiled_is_the_ascending_loop(mode, case):
-    # The soiled measure, bit for bit: propagate's soiled nodes in ascending
-    # node order, each adding its weight (under the edge measure its
-    # out-edge total), over the graph's total. The weights are not dyadic,
-    # so these sums round and their order shows.
+    # The soiled measure, bit for bit, by evaluate_mask and by soil():
+    # propagate's soiled nodes in ascending node order, each adding its
+    # weight (under the edge measure its out-edge total), over the same
+    # loop's sum over every node, so that S is exactly 1 when every node is
+    # soiled. The weights are not dyadic, so these sums round and their
+    # order shows.
     g, seeds = case
     assume(mode == "node" or g.n_edges)
     out_w = dict.fromkeys(g.node_ids, 0.0)
     for s, _, w in g.edges:
         out_w[s] += w
     soiled = propagate(g, seeds).soiled_nodes
-    expected = 0.0
+    expected = total = 0.0
     for v in g.node_ids:
+        w = g.node_weight(v) if mode == "node" else out_w[v]
+        total += w
         if v in soiled:
-            expected += g.node_weight(v) if mode == "node" else out_w[v]
+            expected += w
     ev = SubsetEvaluator(g, CostSpec(mode=mode))
-    assert ev.evaluate_mask(ev.mask_of(seeds)).soiled.hex() == (expected / total_weight(g, mode)).hex()
+    assert ev.evaluate_mask(ev.mask_of(seeds)).soiled.hex() == (expected / total).hex()
+    assert soil(g, seeds, mode)[1].hex() == (expected / total).hex()
 
 
 @given(graphs_and_seeds())
@@ -322,45 +327,48 @@ def test_same_component_gate_via_evaluator(case):
 
 
 def _walk_flips_side_by_side(g, spec, data):
-    # Random flip walks side by side: every flip's value must equal, bit for
-    # bit, a fresh evaluator's value of the flipped mask (None where gated
-    # out), and every counts row the counts of its walk's mask from scratch.
+    # Random flip walks side by side, keeping their per-node coverage counts
+    # current with reach-step rows (v adds node v, n + v removes it) as
+    # anneal does: every counts row must equal the counts of its walk's
+    # mask from scratch, and every flip's value, bit for bit, a fresh
+    # evaluator's value of the flipped mask (None where gated out).
     n = g.n_nodes
     ev = SubsetEvaluator(g, spec)
+    reach_steps = ev._reach_steps
     reach = [_mask_of(g, propagate(g, [v]).soiled_nodes) for v in g.node_ids]
     subsets = st.integers(1, (1 << n) - 1)
     masks = data.draw(st.lists(subsets, min_size=2, max_size=4))
-    counts = np.zeros((len(masks), n), dtype=np.int32)
-    # Each walk's moves since its counts row was last brought up to date, as
-    # reach-step rows: v adds node v, n + v removes it.
-    moves = [list(_bits(mask)) for mask in masks]
+    counts = np.array([reach_steps[list(_bits(mask))].sum(axis=0, dtype=np.int32) for mask in masks])
     # Per walk and step: the node to flip, whether to accept, and sometimes
     # a jump elsewhere first; per step, whether flips are scored at all (an
-    # unscored step accepts every flip), so that rows lag by several moves.
+    # unscored step accepts every flip).
     action = st.tuples(st.integers(0, n - 1), st.booleans(), st.none() | subsets)
     walk_step = st.tuples(st.lists(action, min_size=len(masks), max_size=len(masks)), st.booleans())
     for step, scored in data.draw(st.lists(walk_step, max_size=20)):
         for r, (_, _, jump) in enumerate(step):
             if jump:
-                moves[r] += [v if jump >> v & 1 else n + v for v in _bits(masks[r] ^ jump)]
+                jumps = [v if jump >> v & 1 else n + v for v in _bits(masks[r] ^ jump)]
+                counts[r] += reach_steps[jumps].sum(axis=0, dtype=np.int32)
                 masks[r] = jump
+        for mask, row in zip(masks, counts.tolist()):
+            assert row == [sum(reach[s] >> u & 1 for s in _bits(mask)) for u in range(n)]
         rows = [r for r, (v, _, _) in enumerate(step) if masks[r] != 1 << v]
         flips = [step[r][0] for r in rows]
         flipped = [masks[r] ^ (1 << v) for r, v in zip(rows, flips)]
         flip_moves = [v if m >> v & 1 else n + v for m, v in zip(flipped, flips)]
         if scored:
             fresh = [SubsetEvaluator(g, spec).evaluate_mask(m) for m in flipped]
-            got = ev.flip_values(counts, moves, rows, flipped, flip_moves)
+            got = ev.flip_values(counts, rows, flipped, flip_moves)
             assert [None if v is None else v.hex() for v in got] == [
                 sc.value.hex() if sc.defined else None for sc in fresh
             ]
-            assert moves == [[] for _ in masks]
-            for mask, row in zip(masks, counts.tolist()):
-                assert row == [sum(reach[s] >> u & 1 for s in _bits(mask)) for u in range(n)]
+        # One array add per step, as in anneal: row 2n for a walk that stays.
+        made = [2 * n] * len(masks)
         for r, m, move in zip(rows, flipped, flip_moves):
             if step[r][1] or not scored:
                 masks[r] = m
-                moves[r].append(move)
+                made[r] = move
+        counts += reach_steps.take(made, axis=0)
 
 
 # Float weights take the ordered sum, multiples of 1/64 the matrix-vector
@@ -376,7 +384,7 @@ def test_flip_scoring_equals_evaluate_mask(dyadic, mode, data):
         penalties=((0.7, "fuzzy-small:3"),),
         mode=mode,
     )
-    assert SubsetEvaluator(g, spec)._exact_sums or not dyadic
+    assert SubsetEvaluator(g, spec)._measure.exact or not dyadic
     _walk_flips_side_by_side(g, spec, data)
 
 
@@ -387,7 +395,7 @@ def test_flip_scoring_equals_evaluate_mask_past_64_nodes(dyadic, data):
     # score them as Python ints.
     g = data.draw(wide_graphs(dyadic=dyadic))
     spec = data.draw(cost_specs(g).filter(lambda spec: spec.gates))
-    assert SubsetEvaluator(g, spec)._exact_sums or not dyadic
+    assert SubsetEvaluator(g, spec)._measure.exact or not dyadic
     _walk_flips_side_by_side(g, spec, data)
 
 
@@ -406,15 +414,15 @@ def test_flip_scoring_equals_evaluate_mask_past_64_nodes(dyadic, data):
 def test_sums_exact_boundary(weights, exact):
     assert _sums_exact(weights) is exact
     g = Graph([(f"v{i}", w) for i, w in enumerate(weights)])
-    assert SubsetEvaluator(g, CostSpec())._exact_sums is exact
+    assert SubsetEvaluator(g, CostSpec())._measure.exact is exact
 
 
 def test_ingested_edge_measure_is_not_exact():
     # Ingested edge weights are count / total: the node measure is exact,
     # the edge measure is not.
     g = build_from_log(generate_log(200, 400, 1))
-    assert SubsetEvaluator(g, CostSpec())._exact_sums
-    assert not SubsetEvaluator(g, CostSpec(mode="edge"))._exact_sums
+    assert SubsetEvaluator(g, CostSpec())._measure.exact
+    assert not SubsetEvaluator(g, CostSpec(mode="edge"))._measure.exact
 
 
 def _scoring_routes(g, spec, mask):
@@ -425,9 +433,12 @@ def _scoring_routes(g, spec, mask):
     closures, sizes = ev.subset_closures(0, n)
     return (
         lambda: ev.evaluate_mask(mask),
-        # From mask ^ 1, the move that adds or removes node 0.
+        # From the counts of mask ^ 1, the move that adds or removes node 0.
         lambda: ev.flip_values(
-            np.zeros((1, n), dtype=np.int32), [list(_bits(mask ^ 1))], [0], [mask], [0 if mask & 1 else n]
+            ev._reach_steps[list(_bits(mask ^ 1))].sum(axis=0, keepdims=True, dtype=np.int32),
+            [0],
+            [mask],
+            [0 if mask & 1 else n],
         ),
         lambda: ev.evaluate_block(np.array([mask]), closures[[mask]], sizes[[mask]]),
     )

@@ -10,7 +10,10 @@ graphs come from ``critset gen-log`` and ``critset ingest``:
 - gated-73.graph: ``--nodes 100 --transactions 64 --rng-seed 1`` (73
   nodes in 10 weak components, so masks do not fit in an int64);
 - edge-18.graph: ``--nodes 18 --transactions 32 --rng-seed 1`` (18
-  nodes, weak components of 16 and 2).
+  nodes, weak components of 16 and 2);
+- exhaustive-gated.graph: ``--nodes 18 --transactions 12 --rng-seed 1``
+  (16 nodes in weak components of 9, 3, 2 and 2), the benchmark's
+  exhaustive-gated graph.
 
 Node weights are 1, and edge-18 and gated-73 have edge weights that are
 multiples of 1/64 or 1/32: every soiled sum there is exact, so annealing
@@ -19,6 +22,9 @@ sa-200 edge weights, 0.0025 and 0.005, are not dyadic, so
 ``sa-200-edge`` pins the ordered sum that rounds, in annealing's flips,
 and ``sa-200-ga-edge`` pins it in ``evaluate_mask``, which scores every
 individual of the genetic algorithm; the other ``ga`` cases sum exactly.
+The exhaustive-gated edge weights are multiples of 1/12, so
+``exhaustive-gated`` pins that ordered sum in exhaustive search's
+blocks, which ``edge-18-exhaustive`` sums exactly.
 In ``gated-73-ga`` no member of the genetic algorithm's first population
 passes the gate, so individual 0 is replaced by a feasible start.
 """
@@ -35,6 +41,7 @@ CASES = {
     "gated-73-sa": ("gated-73.graph", ["--optimizer", "sa", "--measure", "edge", *GATED, "fuzzy-small:8:0.25"]),
     "sa-200-edge": ("sa-200.graph", ["--measure", "edge"]),
     "edge-18-exhaustive": ("edge-18.graph", ["--measure", "edge", *GATED, "fuzzy-small:6:0.5"]),
+    "exhaustive-gated": ("exhaustive-gated.graph", ["--measure", "edge", *GATED, "fuzzy-small:6:0.5"]),
     "sa-200-ga": ("sa-200.graph", ["--optimizer", "ga"]),
     "sa-200-ga-edge": ("sa-200.graph", ["--optimizer", "ga", "--measure", "edge"]),
     "gated-73-ga": ("gated-73.graph", ["--optimizer", "ga", *GATED, "fuzzy-small:8:0.25"]),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -152,24 +153,37 @@ def test_searchers_reject_a_graph_without_nodes(search):
 def test_evolve_ranks_every_subset_it_scored(data):
     # evaluations counts every individual assessed, repeats included, plus
     # the subsets a feasible start took; the ranking is the full sort of
-    # every defined subset that was scored.
+    # every defined subset that was scored. A search whose table fills
+    # stops after the first generation that fills it.
     g = data.draw(st.one_of(graphs(max_nodes=7), star_graphs(6)))
     spec = data.draw(cost_specs(g))
     params = GaParams(population_size=data.draw(st.integers(2, 8)), generations=data.draw(st.integers(1, 6)))
     rng_seed = data.draw(st.integers(0, 2**32))
     top_k = data.draw(st.integers(1, 12))
-    scored, starts = set(), []
+    scored, starts, tables = set(), [], []
     evaluate_mask, feasible_start = SubsetEvaluator.evaluate_mask, optimize._feasible_start
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SubsetEvaluator, "evaluate_mask", lambda self, m: scored.add(m) or evaluate_mask(self, m))
         patch.setattr(optimize, "_feasible_start", lambda *a: starts.append(feasible_start(*a)) or starts[-1])
+        patch.setattr(optimize, "_result", lambda ev, values, *a: tables.append(len(values)) or _result(ev, values, *a))
         result = _outcome(functools.partial(evolve, top_k=top_k), g, spec, params, rng_seed)
+        used = sum(u for _, _, u in starts)
+        if isinstance(result, SearchResult) and tables[0] == (1 << g.n_nodes) - 1:
+            generations, rest = divmod(result.evaluations - used, params.population_size)
+            generations -= 1
+            assert rest == 0 and 0 <= generations <= params.generations
+            if generations > 1:
+                # One generation fewer leaves the table short of every subset.
+                evolve(g, spec, dataclasses.replace(params, generations=generations - 1), rng_seed)
+                assert tables[-1] < (1 << g.n_nodes) - 1
+        else:
+            generations = params.generations
     if not isinstance(result, SearchResult):
         return
     evaluator = SubsetEvaluator(g, spec)
     seen = {m: sc for m in scored if (sc := evaluator.evaluate_mask(m)).defined}
     ranked = _full_sort_ranking(evaluator, seen, top_k)
-    evaluations = params.population_size * (params.generations + 1) + sum(used for _, _, used in starts)
+    evaluations = params.population_size * (generations + 1) + used
     assert result == SearchResult(ranked[0], ranked, evaluations, rng_seed, "ga")
 
 
@@ -436,3 +450,14 @@ def test_anneal_stops_with_the_exact_ranking_once_every_subset_is_scored(demo, r
     result = anneal(demo, BETA_ONE, rng_seed=rng_seed)
     assert result.ranked == exhaustive_search(demo, BETA_ONE).ranked
     assert result.evaluations < 1_500
+
+
+@pytest.mark.parametrize("rng_seed", range(1, 11))
+def test_evolve_stops_with_the_exact_ranking_once_every_subset_is_scored(demo, rng_seed):
+    # 40 individuals over 100 generations make 4,040 evaluations. At the
+    # default mutation rate of 1/7 the population on the 7-node demo graph
+    # settles before it has met all 127 subsets; at 0.5 it meets them all
+    # within 35 generations, and the search stops there.
+    result = evolve(demo, BETA_ONE, GaParams(mutation_rate=0.5), rng_seed=rng_seed)
+    assert result.ranked == exhaustive_search(demo, BETA_ONE).ranked
+    assert result.evaluations < 4_040

@@ -169,6 +169,13 @@ def test_unknown_measure_mode(demo):
         soiled_measure(demo, report, mode="bogus")
 
 
+def test_soiled_measure_rejects_a_report_from_another_graph(demo):
+    report = propagate(Graph(["1", "x"], [("1", "x")]), {"1"})
+    for mode in ("node", "edge"):
+        with pytest.raises(ValueError, match="'x' not in graph"):
+            soiled_measure(demo, report, mode)
+
+
 def test_edge_mode_requires_edges():
     g = Graph(["a"])
     report = propagate(g, {"a"})
