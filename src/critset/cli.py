@@ -4,8 +4,9 @@ Subcommands: ``analyze`` runs a subset search over a graph file,
 ``tables`` prints the three bundled demo-graph score tables, ``ingest``
 turns a transaction log CSV into a graph file, and ``gen-log`` writes a
 synthetic log. Results go to stdout, diagnostics to stderr. Exit codes:
-0 success, 1 parse or validation failure, 2 infeasible search (every
-subset gated out).
+0 success, 1 parse or validation failure, 2 no gate-feasible subset found
+(a proof that gates rule out every subset only under ``exhaustive``; the
+heuristics give up after 1000 random draws and every singleton).
 """
 from __future__ import annotations
 
@@ -105,7 +106,7 @@ def _fail(message: str) -> int:
 
 def _read_text(path: str, what: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read {what} {path!r}: {exc.strerror or exc}") from None
 

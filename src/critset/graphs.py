@@ -1,8 +1,10 @@
 """Weighted directed graphs: validation, file parsing, weak connectivity.
 
 Node ids are plain string tokens. Node and edge weights are finite and
-strictly positive, and so are their totals; at most one edge may join an
-ordered (source, target) pair.
+strictly positive; at most one edge may join an ordered (source, target)
+pair. ``Graph`` is the only code that reads, checks and totals weights:
+per measure it keeps what each node adds when soiled and the finite total
+that S divides by.
 Graphs are immutable once built; reachability is computed here, as bit masks.
 Node i is ``node_ids[i]``: bit i of a mask, column i of a row. ``_mask_of``,
 ``_ids_of``, ``_rows`` and ``_masks`` convert between ids, masks and rows.
@@ -61,13 +63,13 @@ class Graph:
     Self-loops, cycles, and disconnected graphs are all allowed.
     """
 
-    __slots__ = ("_node_w", "_edge_w", "_ids", "_index", "_succ", "_total_node_w", "_total_edge_w", "_hash")
+    __slots__ = ("_node_w", "_edge_w", "_ids", "_index", "_succ", "_weights", "_totals", "_hash")
 
     def __init__(self, nodes: Iterable[NodeSpec], edges: Iterable[EdgeSpec] = ()):
         # Records are checked one at a time, in order, and so are the running
         # totals: parse_graph names the line of the record being read.
         node_w: dict[str, float] = {}
-        running = 0.0
+        node_total = 0.0
         for spec in nodes:
             try:
                 node_id, w = (spec, 1.0) if isinstance(spec, str) else spec
@@ -78,13 +80,14 @@ class Graph:
             if node_id in node_w:
                 raise GraphError(f"duplicate node id {node_id!r}")
             what = f"node {node_id!r}"
-            node_w[node_id] = _check_weight(w, what)
-            running = _add_to_total(running, node_w[node_id], what)
+            w = node_w[node_id] = _check_weight(w, what)
+            node_total = _add_to_total(node_total, w, what)
 
         ids = tuple(node_w)
         index = {v: i for i, v in enumerate(ids)}
         edge_w: dict[tuple[str, str], float] = {}
         succ: list[list[int]] = [[] for _ in ids]
+        out_w = [0.0] * len(ids)  # entry i: node i's out-edge total, in edge order
         running = 0.0
         for spec in edges:
             try:
@@ -97,21 +100,24 @@ class Graph:
             if (src, dst) in edge_w:
                 raise GraphError(f"duplicate edge ({src!r}, {dst!r})")
             what = f"edge ({src!r}, {dst!r})"
-            edge_w[(src, dst)] = _check_weight(w, what)
-            running = _add_to_total(running, edge_w[(src, dst)], what)
+            w = edge_w[(src, dst)] = _check_weight(w, what)
+            running = _add_to_total(running, w, what)
             succ[index[src]].append(index[dst])
+            out_w[index[src]] += w
+        edge_total = 0.0
+        for w in out_w:
+            edge_total += w
+        if not math.isfinite(edge_total):
+            raise GraphError("the edge weight total is not finite")
 
         self._node_w = node_w
         self._edge_w = edge_w
         self._ids = ids
         self._index = index
         self._succ = succ  # entry i: the indices of node i's successors
-        # sum() rather than the running totals: from Python 3.12 it
-        # compensates rounding, so the two can differ in the last bits.
-        self._total_node_w = sum(node_w.values())
-        self._total_edge_w = sum(edge_w.values())
-        if not (math.isfinite(self._total_node_w) and math.isfinite(self._total_edge_w)):
-            raise GraphError("node or edge weight total is not finite")
+        # Per measure, what each node adds when soiled, and their total in node order.
+        self._weights = {"node": tuple(node_w.values()), "edge": tuple(out_w)}
+        self._totals = {"node": node_total, "edge": edge_total}
         self._hash = None
 
     @property
@@ -246,14 +252,14 @@ def _masks(rows) -> list[int]:
 
 
 def total_weight(g: Graph, mode: str = "node") -> float:
-    """Sum of node weights (``mode="node"``) or edge weights (``"edge"``)."""
+    """Total node weight (``mode="node"``) or edge weight (``"edge"``):
+    the denominator of S, bit for bit. It adds, in node order, each node's
+    weight or the total of its out-edges in edge order."""
     if mode not in MEASURE_MODES:
         raise GraphError(f"unknown measure mode {mode!r}; expected one of {MEASURE_MODES}")
-    if mode == "node":
-        return g._total_node_w
-    if g.n_edges == 0:
+    if mode == "edge" and g.n_edges == 0:
         raise GraphError("edge measure is undefined on an edgeless graph")
-    return g._total_edge_w
+    return g._totals[mode]
 
 
 def parse_graph(text: str) -> Graph:
@@ -263,36 +269,30 @@ def parse_graph(text: str) -> Graph:
     [weight]``, or ``# comment``. Fields are whitespace separated and
     weights default to 1. Errors report the offending line number.
     """
-    nodes: list[tuple[str, float, int]] = []
-    edge_lines: list[tuple[str, str, float, int]] = []
+    nodes: list[tuple[int, NodeSpec]] = []
+    edge_lines: list[tuple[int, EdgeSpec]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
         kind = fields[0]
-        try:
-            if kind == "node" and len(fields) in (2, 3):
-                w = float(fields[2]) if len(fields) == 3 else 1.0
-                nodes.append((fields[1], w, line_no))
-            elif kind == "edge" and len(fields) in (3, 4):
-                w = float(fields[3]) if len(fields) == 4 else 1.0
-                edge_lines.append((fields[1], fields[2], w, line_no))
-            else:
-                raise GraphParseError(line_no, f"malformed record {line!r}")
-        except ValueError as exc:
-            if isinstance(exc, GraphParseError):
-                raise
-            raise GraphParseError(line_no, f"bad weight in {line!r}") from None
+        # Weights stay text: Graph converts and checks them.
+        if kind == "node" and len(fields) in (2, 3):
+            nodes.append((line_no, fields[1] if len(fields) == 2 else tuple(fields[1:])))
+        elif kind == "edge" and len(fields) in (3, 4):
+            edge_lines.append((line_no, tuple(fields[1:])))
+        else:
+            raise GraphParseError(line_no, f"malformed record {line!r}")
 
     # Graph reads the records one at a time, nodes first, so the line of
     # the record it was reading when it raised is the line at fault.
     reading = [0]
 
     def specs(records):
-        for *spec, line_no in records:
+        for line_no, spec in records:
             reading[0] = line_no
-            yield tuple(spec)
+            yield spec
 
     try:
         g = Graph(specs(nodes), specs(edge_lines))

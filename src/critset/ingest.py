@@ -3,7 +3,7 @@
 Each log record is a source element, a target element, and a count.
 The graph built from a log has one node per distinct element and one
 edge per distinct ordered pair, weighted by the pair's share of all
-transactions, so edge weights always sum to 1.
+transactions, so edge weights sum to 1 up to rounding.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ def build_from_log(records: Sequence[TransactionRecord]) -> Graph:
 
     Repeated (source, target) pairs aggregate into one edge. Nodes get
     unit weight; edge weights are pair totals over the grand total and
-    sum to 1. Record order never affects the result.
+    sum to 1 up to rounding. Record order never affects the result.
     """
     if not records:
         raise LogFormatError("transaction log is empty")
@@ -82,14 +82,16 @@ def generate_log(node_count: int, transaction_count: int, rng_seed: int = 0) -> 
 
 
 def read_log_csv(text: str) -> list[TransactionRecord]:
-    """Parse log CSV: ``src,dst[,count]`` per line, optional header."""
+    """Parse log CSV: ``src,dst[,count]`` per line, blank lines skipped,
+    and an optional ``src,dst[,count]`` header as the first non-blank row."""
     records: list[TransactionRecord] = []
-    rows = list(csv.reader(io.StringIO(text)))
-    for line_no, row in enumerate(rows, start=1):
+    first = True
+    for line_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         fields = [f.strip() for f in row]
-        if line_no == 1 and tuple(f.lower() for f in fields) in (_HEADER_FIELDS[:2], _HEADER_FIELDS):
+        is_first, first = first, False
+        if is_first and tuple(f.lower() for f in fields) in (_HEADER_FIELDS[:2], _HEADER_FIELDS):
             continue
         if len(fields) not in (2, 3):
             raise LogFormatError(f"line {line_no}: expected src,dst[,count], got {row!r}")

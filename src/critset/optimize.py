@@ -317,12 +317,8 @@ def anneal(
 
 
 def _tournament(rng, fitness, size):
-    pool = rng.integers(0, len(fitness), size).tolist()
-    best = pool[0]
-    for i in pool[1:]:
-        if fitness[i] > fitness[best]:
-            best = i
-    return best
+    # max keeps the first of equal fitnesses.
+    return max(rng.integers(0, len(fitness), size).tolist(), key=fitness.__getitem__)
 
 
 def evolve(

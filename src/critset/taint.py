@@ -6,7 +6,9 @@ carries the corruption regardless of where it points. Cycles contribute each
 node and edge exactly once because both collections are sets.
 
 ``soil()`` and ``cost.SubsetEvaluator`` share one soiled measure,
-``_Measure``, so they agree bit for bit on every Python version.
+``_Measure``, so they agree bit for bit on every Python version. It only
+sums soiled weights: the per-node weights and their total, S's
+denominator, come from the graph.
 """
 from __future__ import annotations
 
@@ -75,23 +77,18 @@ def _sums_exact(weights: Sequence[float]) -> bool:
 
 class _Measure:
     """The soiled measure of one graph under one mode. ``weights[u]`` is
-    what soiled node u adds: its weight, or under the edge measure the
-    total of its out-edges in edge order. A soiled weight is a matrix-vector
-    product when every sum of the weights is exact in float64 (``exact``),
-    else an ordered sum in ascending node order. ``total``, the ordered sum
-    of all the weights, makes S at most 1, and 1 when all is soiled."""
+    what soiled node u adds, as the graph keeps it: its weight, or under
+    the edge measure the total of its out-edges in edge order. A soiled
+    weight is a matrix-vector product when every sum of the weights is
+    exact in float64 (``exact``), else an ordered sum in ascending node
+    order. ``total`` is ``total_weight(g, mode)``, the same weights added
+    in node order, so S is at most 1, and 1 when all is soiled."""
 
     def __init__(self, g: Graph, mode: str):
-        total_weight(g, mode)  # rejects an unknown mode, and the edge measure without edges
-        if mode == "node":
-            weights = [g.node_weight(v) for v in g.node_ids]
-        else:
-            weights = [0.0] * g.n_nodes
-            for s, _, w in g.edges:
-                weights[g._index[s]] += w
+        self.total = total_weight(g, mode)  # rejects an unknown mode, and the edge measure without edges
+        weights = g._weights[mode]
         self.weights = np.array(weights, dtype=np.float64)
         self.exact = _sums_exact(weights)
-        self.total = np.add.accumulate(self.weights)[-1]
 
     def soiled(self, covered: np.ndarray) -> list[float]:
         """S of each row of the bool array ``covered`` (column u: node u soiled)."""

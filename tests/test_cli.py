@@ -223,6 +223,14 @@ def test_ingest_two_record_log(tmp_path, capsys):
     assert "edge b c 0.5" in out
 
 
+@pytest.mark.parametrize("header", ["src,dst,count", "src,dst"])
+def test_ingest_skips_a_header_after_a_byte_order_mark(tmp_path, capsys, header):
+    log = tmp_path / "log.csv"
+    log.write_text(f"{header}\na,b\n", encoding="utf-8-sig")
+    assert main(["ingest", str(log), "-"]) == 0
+    assert capsys.readouterr().out == "node a\nnode b\nedge a b\n"
+
+
 def test_ingest_empty_log(tmp_path, capsys):
     log = tmp_path / "empty.csv"
     log.write_text("")

@@ -1,9 +1,12 @@
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critset.cost import CostSpec, SubsetEvaluator
 from critset.graphs import (
     MEASURE_MODES,
     Graph,
@@ -110,6 +113,8 @@ def test_non_finite_weight_error_names_its_line(text, line_no):
         ("node a\nnode b\nedge a b\nedge b a -1", 4, "non-positive"),
         ("node a\nnode b\nedge a b nan\nedge b a", 3, "non-finite weight"),
         ("node a\nnode b\nedge a b 1e308\nedge b b\nedge b a 1e308", 5, "total non-finite"),
+        ("node 1 x", 1, "non-numeric weight 'x' on node '1'"),
+        ("node a\nnode b\nedge a b 1e400", 3, "non-finite weight '1e400' on edge"),
     ],
 )
 def test_graph_errors_name_the_line_of_their_record(text, line_no, fragment):
@@ -126,8 +131,8 @@ def test_graph_errors_name_the_line_of_their_record(text, line_no, fragment):
 )
 @settings(max_examples=200)
 def test_parsed_totals_equal_sum_of_fractional_weights(counts, total, mode):
-    # Weights count/total, as ingest writes them; the stored totals are
-    # sum()'s, which from Python 3.12 differs from a running total.
+    # Weights count/total, as ingest writes them; the stored totals add
+    # them left to right (sum() compensates from Python 3.12 on).
     weights = [c / total for c in counts]
     names = [f"v{i}" for i in range(len(weights))]
     if mode == "node":
@@ -136,7 +141,52 @@ def test_parsed_totals_equal_sum_of_fractional_weights(counts, total, mode):
         # A chain v0 -> v1 -> ... plus a self-loop on the last node.
         lines = [f"node {v}" for v in names]
         lines += [f"edge {v} {u} {w!r}" for v, u, w in zip(names, [*names[1:], names[-1]], weights)]
-    assert total_weight(parse_graph("\n".join(lines)), mode) == sum(weights)
+    assert total_weight(parse_graph("\n".join(lines)), mode).hex() == _left_to_right(weights).hex()
+
+
+def _left_to_right(weights):
+    total = 0.0
+    for w in weights:
+        total += w
+    return total
+
+
+def _measure_weights(g, mode):
+    """What each node adds to the ``mode`` measure, in node order."""
+    if mode == "node":
+        return [g.node_weight(v) for v in g.node_ids]
+    out = dict.fromkeys(g.node_ids, 0.0)
+    for s, _, w in g.edges:
+        out[s] += w
+    return list(out.values())
+
+
+@given(st.one_of(graphs(), graphs(dyadic=True)), st.sampled_from(MEASURE_MODES))
+@settings(max_examples=300)
+def test_total_weight_is_the_denominator_of_s(g, mode):
+    if mode == "edge" and not g.n_edges:
+        with pytest.raises(GraphError, match="edgeless"):
+            total_weight(g, mode)
+        return
+    expected = _left_to_right(_measure_weights(g, mode))
+    assert total_weight(g, mode).hex() == expected.hex()
+    assert SubsetEvaluator(g, CostSpec(mode=mode))._measure.total.hex() == expected.hex()
+
+
+@pytest.mark.parametrize(
+    "graph, total",
+    [("sa-200", "0x1.fffffffffffe9p-1"), ("exhaustive-gated", "0x1.0000000000001p+0")],
+)
+def test_golden_graph_edge_totals(graph, total):
+    g = parse_graph((Path(__file__).parent / "golden" / f"{graph}.graph").read_text(encoding="utf-8"))
+    assert total_weight(g, "edge").hex() == total
+    assert SubsetEvaluator(g, CostSpec(mode="edge"))._measure.total.hex() == total
+
+
+def test_node_total_adds_left_to_right():
+    # A compensated sum (Python 3.12's sum()) would give 0x1.0000000000001p+0.
+    g = Graph([("a", 1.0), ("b", 1e-16), ("c", 1e-16)])
+    assert total_weight(g, "node").hex() == "0x1.0000000000000p+0"
 
 
 def test_constructor_rejects_bad_ids():
@@ -159,6 +209,15 @@ def test_constructor_rejects_bad_ids():
 def test_constructor_rejects_non_finite_weights(nodes, edges):
     with pytest.raises(GraphError, match="finite"):
         Graph(nodes, edges)
+
+
+def test_edge_total_in_node_order_must_be_finite():
+    # Edge order: 2^1023 + 2^970 is a tie that rounds to even, 2^1023, and
+    # adding max - 2^1023 gives max. Node order: node a's out-edges add to
+    # max, and max + 2^970 is a tie that rounds to even, past max: infinity.
+    big = sys.float_info.max - 2.0**1023
+    with pytest.raises(GraphError, match="^the edge weight total is not finite$"):
+        Graph(["a", "b"], [("a", "b", 2.0**1023), ("b", "a", 2.0**970), ("a", "a", big)])
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,14 @@ def test_csv_header_optional():
     assert with_header == without == [TransactionRecord("a", "b", 2)]
 
 
+def test_csv_header_after_blank_lines():
+    assert read_log_csv("\n  \nsrc,dst\na,b\n") == [TransactionRecord("a", "b")]
+
+
+def test_csv_header_only_as_first_row():
+    assert read_log_csv("src,dst\nsrc,dst\n") == [TransactionRecord("src", "dst")]
+
+
 def test_csv_count_defaults_to_one():
     assert read_log_csv("a,b\n") == [TransactionRecord("a", "b", 1)]
 
