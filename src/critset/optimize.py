@@ -10,8 +10,11 @@ gated out) that is both their cache and the pool they rank, and stop
 once it holds every nonempty subset. Annealing's restarts walk in
 lockstep over it: each step values the flips missing from it in one
 numpy pass over the per-node coverage counts each restart keeps
-current, with the measure and tail ``evaluate_mask`` uses. ``_result``
-builds ``Score``s only for the masks that make the ranking. The two
+current, with the measure and tail ``evaluate_mask`` uses. Where its
+schedule cannot fill the table, annealing keeps two generations of it
+and carries only the older one's ranking contenders (``_contenders``)
+past a turnover, so its memory is bounded by ``TABLE_KEEP``. ``_result``
+builds ``Score``s only for the contenders of the table it ranks. The two
 randomized searchers are heuristics; the test suite verifies them
 against the exhaustive result instead of assuming global optimality.
 All are deterministic for a fixed rng seed; annealing restarts draw
@@ -34,6 +37,14 @@ EXHAUSTIVE_NODE_CAP = 22
 # whose arrays fit in cache run fastest: at 22 nodes 2^12 and 2^13 ran
 # alike, 2^14 up to 30% and 2^16 over twice as slow.
 EXHAUSTIVE_BLOCK_SIZE = 1 << 13
+# Subsets annealing's current table may hold at the end of a temperature
+# level before it turns over; the two generations then hold at most
+# 2 * (TABLE_KEEP + restarts * steps per level) subsets plus the ranking's
+# ties. With the default schedule and rng seed 0, 2^12 needs as many numpy
+# passes as a table that forgets nothing on the 196-node sa-200 graph and
+# a gated 73-node graph (8,325 and 5,779); 1,460 raised the gated one's to
+# 5,950, and 1 to 8,899, as its gated walks come back to subsets later.
+TABLE_KEEP = 1 << 12
 _MAX_START_ATTEMPTS = 1000
 
 
@@ -118,25 +129,37 @@ def rank_key(candidate: Candidate):
     return (-candidate.score.value, len(candidate.seeds), candidate.sorted_seeds)
 
 
-def _result(evaluator, values, evaluations, rng_seed, optimizer, top_k) -> SearchResult:
-    """Rank the masks of ``values`` (mask -> value, or None where gated out)."""
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+def _contenders(values, top_k):
+    """The masks of ``values`` (mask -> value, or None where gated out) that
+    can still make the top ``top_k``, with their values: every defined mask
+    up to and tied with the k-th on (score, size). Only those tied with the
+    k-th can need the id tie-break, and a mask that ranks among the top k of
+    a larger table is one of these in any part of it that holds it."""
     defined = [v for v in values.values() if v is not None]
     if not defined:
-        raise InfeasibleSearchError("no gate-feasible candidate was found")
-    # The k-th on (score, size) has the k-th largest score. Only masks tied
-    # with it can need the id tie-break, so Scores and seed sets are built
-    # for those and the ones before them.
+        return {}
+    # The k-th on (score, size) has the k-th largest score.
     floor = heapq.nlargest(top_k, defined)[-1]
     pool = [(-v, m.bit_count(), m) for m, v in values.items() if v is not None and v >= floor]
     cut = heapq.nsmallest(top_k, pool)[-1][:2]
-    candidates = [
-        Candidate(evaluator.seeds_of(m), evaluator.evaluate_mask(m)) for key, n, m in pool if (key, n) <= cut
-    ]
+    return {m: values[m] for key, n, m in pool if (key, n) <= cut}
+
+
+def _result(evaluator, values, evaluations, rng_seed, optimizer, top_k) -> SearchResult:
+    """Rank the masks of ``values`` (mask -> value, or None where gated out);
+    Scores and seed sets are built only for its contenders."""
+    contenders = _contenders(values, top_k)
+    if not contenders:
+        raise InfeasibleSearchError("no gate-feasible candidate was found")
+    candidates = [Candidate(evaluator.seeds_of(m), evaluator.evaluate_mask(m)) for m in contenders]
     candidates.sort(key=rank_key)
     ranked = tuple(candidates[:top_k])
     return SearchResult(ranked[0], ranked, evaluations, rng_seed, optimizer)
+
+
+def _check_top_k(top_k: int):
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
 
 
 def exhaustive_search(
@@ -152,8 +175,7 @@ def exhaustive_search(
     Deterministic, and independent of ``rng_seed`` (recorded only).
     Refuses graphs beyond ``EXHAUSTIVE_NODE_CAP`` nodes rather than sampling.
     """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+    _check_top_k(top_k)
     n = g.n_nodes
     if n > EXHAUSTIVE_NODE_CAP:
         raise ValueError(
@@ -239,16 +261,35 @@ def anneal(
     fail a gate are rejected, worse moves are accepted with probability
     exp(delta/T). Restarts draw from independent RNG streams and walk in
     lockstep, so each step scores their unscored flips in one batch; the
-    incumbent best is kept across them. The search stops early once it
-    has scored every nonempty subset, when its ranking is exact.
+    incumbent best is kept across them. Scored subsets are kept in two
+    generations: once the current one holds more than ``TABLE_KEEP`` at
+    the end of a temperature level, it becomes the older one, together
+    with the older one's ranking contenders, and the rest is forgotten;
+    a forgotten subset met again is scored again, to the same value. So
+    memory is bounded by ``TABLE_KEEP`` and one level's flips rather than
+    by the number of levels, and the walk and ranking are those of a
+    table that keeps everything.
+    Where the schedule can score every nonempty subset, nothing is
+    forgotten, and the search stops early once it has, when its ranking
+    is exact.
     """
+    _check_top_k(top_k)
     evaluator = SubsetEvaluator(g, spec)
     n = g.n_nodes
     every_subset = (1 << n) - 1
+    temperatures = []
+    temperature = schedule.initial_temperature
+    while temperature >= schedule.minimum_temperature:
+        temperatures.append(temperature)
+        temperature *= schedule.cooling_factor
+    steps = schedule.steps_per_temperature
+    # The table holds at most each restart's start and one subset per flip.
+    forgets = every_subset > schedule.restarts * (1 + len(temperatures) * steps)
     rngs = [np.random.default_rng([rng_seed, r]) for r in range(schedule.restarts)]
-    # Every subset scored so far: its value, or None where a gate rules it
-    # out. It is both the search's cache and the pool it ranks.
+    # Subsets scored or met since the last turnover, and those of the
+    # generation before: their value, or None where a gate rules it out.
     table: dict[int, float | None] = {}
+    older: dict[int, float | None] = {}
     current: list[int] = []
     values: list[float] = []
     evaluations = 0
@@ -265,12 +306,12 @@ def anneal(
     reach_steps = evaluator._reach_steps
     counts = np.array([reach_steps[list(_bits(m))].sum(axis=0, dtype=np.int32) for m in current])
     still = [2 * n] * len(rngs)
-    steps = schedule.steps_per_temperature
-    temperature = schedule.initial_temperature
     exp = math.exp
-    lookup = table.get
+    lookup, recall = table.get, older.get
     unscored = object()
-    while temperature >= schedule.minimum_temperature and len(table) < every_subset:
+    for temperature in temperatures:
+        if len(table) == every_subset:
+            break
         # Each stream draws as a restart walking alone would: flips, then draws.
         flips = list(zip(*[rng.integers(0, n, steps).tolist() for rng in rngs]))
         draws = list(zip(*[rng.random(steps).tolist() for rng in rngs]))
@@ -287,11 +328,16 @@ def anneal(
                 evaluations += 1
                 value = lookup(neighbor, unscored)
                 if value is unscored:
-                    misses.append(r)
-                    neighbors.append(neighbor)
-                    # The flip adds v exactly when it makes the mask larger.
-                    miss_moves.append(v if neighbor > mask else n + v)
-                elif value is not None:
+                    value = recall(neighbor, unscored)
+                    if value is unscored:
+                        misses.append(r)
+                        neighbors.append(neighbor)
+                        # The flip adds v exactly when it makes the mask larger.
+                        miss_moves.append(v if neighbor > mask else n + v)
+                        continue
+                    # Met again in this generation: keep it through the next turnover.
+                    table[neighbor] = value
+                if value is not None:
                     delta = value - values[r]
                     # math.exp, not np.exp: the two can differ in the last bit.
                     if delta >= 0.0 or draw < exp(delta / temperature):
@@ -312,8 +358,13 @@ def anneal(
                     break
             if made != still:
                 counts += reach_steps.take(made, axis=0)
-        temperature *= schedule.cooling_factor
-    return _result(evaluator, table, evaluations, rng_seed, "sa", top_k)
+        if forgets and len(table) > TABLE_KEEP:
+            # A subset of the final top k is a contender of every part of the
+            # scored subsets that holds it, so each turnover carries it.
+            table.update(_contenders(older, top_k))
+            older, table = table, {}
+            lookup, recall = table.get, older.get
+    return _result(evaluator, {**older, **table}, evaluations, rng_seed, "sa", top_k)
 
 
 def _tournament(rng, fitness, size):
@@ -343,6 +394,7 @@ def evolve(
     the whole table. The search stops early once it has scored every
     nonempty subset, when its ranking is exact.
     """
+    _check_top_k(top_k)
     n = g.n_nodes
     evaluator = SubsetEvaluator(g, spec)
     mutation_rate = params.mutation_rate if params.mutation_rate is not None else 1.0 / n

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from critset import optimize
 from critset.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,3 +54,19 @@ def test_analyze_report_matches_golden(name, capsys):
     graph, flags = CASES[name]
     assert main(["analyze", "--graph", str(GOLDEN / graph), *flags, "--format", "json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["sa-200", "gated-73-sa"])
+def test_sa_report_is_the_same_when_the_table_turns_over_every_level(name, capsys, monkeypatch):
+    monkeypatch.setattr(optimize, "TABLE_KEEP", 1)
+    test_analyze_report_matches_golden(name, capsys)
+
+
+def test_annealing_on_sa_200_ranks_a_bounded_table(capsys, monkeypatch):
+    # The walk scores or meets 77,108 subsets; a table that kept them all
+    # would hand every one to _result.
+    sizes = []
+    result = optimize._result
+    monkeypatch.setattr(optimize, "_result", lambda ev, values, *a: sizes.append(len(values)) or result(ev, values, *a))
+    test_analyze_report_matches_golden("sa-200", capsys)
+    assert sizes and sizes[0] < 10_000

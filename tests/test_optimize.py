@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from critset import optimize
 from critset.constraints import same_component
-from critset.cost import CostSpec, SubsetEvaluator, gated_cost, over_n
+from critset.cost import CostSpec, Score, SubsetEvaluator, gated_cost, over_n
 from critset.graphs import Graph
 from critset.optimize import (
     AnnealingSchedule,
@@ -216,6 +216,16 @@ def test_top_k_validation(demo):
         exhaustive_search(demo, BETA_ONE, top_k=0)
 
 
+@pytest.mark.parametrize("search", [exhaustive_search, anneal, evolve])
+def test_top_k_is_checked_before_any_subset_is_scored(demo, search, monkeypatch):
+    calls = []
+    evaluate_mask = SubsetEvaluator.evaluate_mask
+    monkeypatch.setattr(SubsetEvaluator, "evaluate_mask", lambda self, m: calls.append(m) or evaluate_mask(self, m))
+    with pytest.raises(ValueError, match="^top_k must be >= 1$"):
+        search(demo, BETA_ONE, top_k=0)
+    assert calls == []
+
+
 @given(graphs(max_nodes=6))
 @settings(max_examples=60, deadline=None)
 def test_heuristics_never_beat_the_oracle(g):
@@ -280,6 +290,39 @@ def test_mask_ranking_matches_full_sort_on_stars(g, top_k):
     result = _result(evaluator, _values(seen), 0, 0, "sa", top_k)
     assert result.ranked == _full_sort_ranking(evaluator, seen, top_k)
     assert result.best == result.ranked[0]
+
+
+class _TableEvaluator:
+    """``seeds_of`` and ``evaluate_mask`` of a 6-node graph whose subsets
+    have the values of a mask -> value table (None where gated out)."""
+
+    def __init__(self, values):
+        self.values = values
+        self.seeds_of = SubsetEvaluator(Graph([f"v{i}" for i in range(6)]), BETA_ONE).seeds_of
+
+    def evaluate_mask(self, mask):
+        value = self.values[mask]
+        return Score(value is not None, value, 0.0, mask.bit_count(), 1.0)
+
+
+@given(st.dictionaries(st.integers(1, 63), st.sampled_from([None, -1.0, 0.0, 0.5, 2.0])), st.data())
+@settings(max_examples=300, deadline=None)
+def test_contenders_of_any_part_leave_the_ranking_as_it_is(values, data):
+    # Annealing's turnover replaces a part of its table by that part's
+    # contenders. Few distinct values over masks of 6 nodes make many ties
+    # on score and on (score, size) at the k-th place.
+    top_k = data.draw(st.integers(1, len(values) + 2))
+    part = data.draw(st.sets(st.sampled_from(sorted(values)))) if values else set()
+    a = {m: v for m, v in values.items() if m in part}
+    b = {m: v for m, v in values.items() if m not in part}
+    evaluator = _TableEvaluator(values)
+    contenders = optimize._contenders(a, top_k)
+    assert contenders.items() <= a.items()
+    whole = _outcome(_result, evaluator, values, 0, 0, "sa", top_k)
+    assert _outcome(_result, evaluator, {**contenders, **b}, 0, 0, "sa", top_k) == whole
+    defined = {m: evaluator.evaluate_mask(m) for m, v in values.items() if v is not None}
+    if defined:
+        assert whole.ranked == _full_sort_ranking(evaluator, defined, top_k)
 
 
 def _outcome(search, *args):
@@ -399,6 +442,7 @@ def _lockstep_equals_walking_alone(g, data):
     top_k = data.draw(st.integers(1, 12))
     got = _outcome(functools.partial(anneal, top_k=top_k), g, spec, schedule, rng_seed)
     assert got == _outcome(_walk_alone, g, spec, schedule, rng_seed, top_k)
+    return got, schedule
 
 
 @given(st.data())
@@ -413,6 +457,27 @@ def test_anneal_equals_restarts_walking_alone(data):
 def test_anneal_equals_restarts_walking_alone_past_64_nodes(g, data):
     # Masks no longer fit in an int64; the walk stays on Python ints.
     _lockstep_equals_walking_alone(g, data)
+
+
+@given(wide_graphs(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_anneal_turning_over_every_level_equals_walking_alone(g, data):
+    # No schedule drawn here can score all 2^64 subsets, so the table turns
+    # over at the end of every level where its size passes TABLE_KEEP: with
+    # 0, every level, each forgetting all but the older generation's
+    # contenders.
+    calls = []
+    contenders = optimize._contenders
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "TABLE_KEEP", 0)
+        patch.setattr(optimize, "_contenders", lambda values, k: calls.append(k) or contenders(values, k))
+        got, schedule = _lockstep_equals_walking_alone(g, data)
+    if isinstance(got, SearchResult):
+        levels, temperature = 0, schedule.initial_temperature
+        while temperature >= schedule.minimum_temperature:
+            levels, temperature = levels + 1, temperature * schedule.cooling_factor
+        # One call from each search's _result, and one per turnover.
+        assert len(calls) == 2 + levels
 
 
 @pytest.mark.parametrize("n_nodes,rng_seed", [(2, 4), (2, 10), (2, 11), (30, 0)])
@@ -443,10 +508,12 @@ def test_anneal_single_node_graph_equals_walking_alone():
 
 
 @pytest.mark.parametrize("rng_seed", range(1, 11))
-def test_anneal_stops_with_the_exact_ranking_once_every_subset_is_scored(demo, rng_seed):
+def test_anneal_stops_with_the_exact_ranking_once_every_subset_is_scored(demo, rng_seed, monkeypatch):
     # The default schedule makes 90,000 flips in 9,000 lockstep steps of 10
     # restarts; on the 7-node demo graph they score all 127 subsets within
-    # the first 150 steps.
+    # the first 150 steps. The table can fill, so it never turns over,
+    # however small TABLE_KEEP is.
+    monkeypatch.setattr(optimize, "TABLE_KEEP", 1)
     result = anneal(demo, BETA_ONE, rng_seed=rng_seed)
     assert result.ranked == exhaustive_search(demo, BETA_ONE).ranked
     assert result.evaluations < 1_500
