@@ -268,10 +268,9 @@ def anneal(
     a forgotten subset met again is scored again, to the same value. So
     memory is bounded by ``TABLE_KEEP`` and one level's flips rather than
     by the number of levels, and the walk and ranking are those of a
-    table that keeps everything.
-    Where the schedule can score every nonempty subset, nothing is
-    forgotten, and the search stops early once it has, when its ranking
-    is exact.
+    table that keeps everything. Where the schedule can score every
+    nonempty subset, nothing is forgotten, and the search stops early
+    once it has, when its ranking is exact.
     """
     _check_top_k(top_k)
     evaluator = SubsetEvaluator(g, spec)
