@@ -244,11 +244,27 @@ class SubsetEvaluator:
         return Score(value is not None, value, s, n, mu)
 
     @cached_property
+    def _reach_rows(self) -> np.ndarray:
+        """Bool array whose row v, column u says whether seed v soils node u."""
+        return _rows(self._reach, self._n_total)
+
+    @cached_property
+    def _sources(self) -> list[int]:
+        """The smallest node of each source SCC, ascending: of each strongly
+        connected component that no other one reaches. Node u lies in one
+        when every node that reaches u is reached by u, and is its smallest
+        when no smaller node reaches it."""
+        reach = self._reach_rows
+        source = ~(reach.T & ~reach).any(axis=1)
+        first = reach.argmax(axis=0) == np.arange(self._n_total)
+        return np.flatnonzero(source & first).tolist()
+
+    @cached_property
     def _reach_steps(self) -> np.ndarray:
         """What adding seed v does to coverage counts (row v: reach(v) as 0/1),
         removing it (row N + v: the negation) and no move (row 2N: zeros);
         int32 like the counts: numpy adds and compares one dtype faster."""
-        rows = _rows(self._reach, self._n_total).astype(np.int32)
+        rows = self._reach_rows.astype(np.int32)
         return np.concatenate((rows, -rows, np.zeros((1, self._n_total), dtype=np.int32)))
 
     def flip_values(

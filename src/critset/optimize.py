@@ -3,21 +3,27 @@
 Three searchers score subsets through a ``SubsetEvaluator``, which keeps
 no scores: exhaustive enumeration (exact, capped at 22 nodes), which
 values all 2^N - 1 subsets in numpy blocks from closures built by
-doubling and keeps masks, values and sizes of those that can still
-rank; simulated annealing; and a genetic algorithm. The two heuristics
-walk over int masks and each keep one table of mask -> value (None where
-gated out) that is both their cache and the pool they rank, and stop
-once it holds every nonempty subset. Annealing's restarts walk in
-lockstep over it: each step values the flips missing from it in one
-numpy pass over the per-node coverage counts each restart keeps
+doubling and keeps masks, values and sizes of those that can still rank;
+simulated annealing; and a genetic algorithm. Before the two heuristics
+walk, they score the prefixes of a greedy max-coverage order over the
+source SCCs (``_greedy_prefixes``), which join the pool they rank. Where
+the walk cannot score every subset, and the cost has no penalty and
+alpha(n) >= 0, an exact upper bound on the score of each subset size
+(``_size_bounds``) may prove the best prefix optimal; the search then
+ranks it with its one-node flips and does not walk. The walks go over
+int masks and each keep one table of mask -> value (None where gated
+out) that is both their cache and, with the prefixes, the pool they
+rank, and stop once it holds every nonempty subset. Annealing's restarts
+walk in lockstep over it: each step values the flips missing from it in
+one numpy pass over the per-node coverage counts each restart keeps
 current, with the measure and tail ``evaluate_mask`` uses. Where its
 schedule cannot fill the table, annealing keeps two generations of it
 and carries only the older one's ranking contenders (``_contenders``)
 past a turnover, so its memory is bounded by ``TABLE_KEEP``. ``_result``
 builds ``Score``s only for the contenders of the table it ranks. The two
 randomized searchers are heuristics; the test suite verifies them
-against the exhaustive result instead of assuming global optimality.
-All are deterministic for a fixed rng seed; annealing restarts draw
+against the exhaustive result instead of assuming global optimality. All
+are deterministic for a fixed rng seed; annealing restarts draw
 independent streams derived from (seed, restart index).
 """
 from __future__ import annotations
@@ -25,11 +31,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 import numpy as np
 
 from .cost import CostSpec, Score, SubsetEvaluator
 from .graphs import Graph, _bits, _masks
+from .taint import _units
 
 EXHAUSTIVE_NODE_CAP = 22
 # Subsets exhaustive search scores per numpy pass; a power of two. It bounds
@@ -246,6 +254,115 @@ def _feasible_start(evaluator, rng, n):
     )
 
 
+def _greedy_prefixes(evaluator) -> dict[int, float | None]:
+    """The prefixes of a greedy max-coverage order, each with its value
+    (None where a gate rules it out), as ``evaluate_mask`` scores it.
+
+    Each step adds the source SCC representative (``_sources``) whose reach
+    soils the most weight not yet soiled, as ``_Measure.soiled`` sums it,
+    the smallest on ties, until none soils more. A source reaches all that
+    any node it reaches does, and every node is reached from a source, so
+    no other node gains more.
+    """
+    sources = evaluator._sources
+    rows = evaluator._reach_rows[sources]
+    unsoiled = np.ones(evaluator._n_total, dtype=bool)
+    left = list(range(len(sources)))  # ascending, so index() finds the smallest
+    mask = 0
+    prefixes: dict[int, float | None] = {}
+    while left:
+        gains = evaluator._measure.soiled(rows[left] & unsoiled)
+        gain = max(gains)
+        if not gain > 0.0:
+            break
+        pick = left[gains.index(gain)]
+        unsoiled &= ~rows[pick]
+        mask |= 1 << sources[pick]
+        prefixes[mask] = evaluator.evaluate_mask(mask).value
+        # A gain never grows as more is soiled.
+        left = [i for i, g in zip(left, gains) if g > 0.0 and i != pick]
+    return prefixes
+
+
+def _size_bounds(evaluator) -> list[float] | None:
+    """At index k = 1..N, a value that no gate-feasible subset of k seeds
+    scores above, as ``_value`` computes scores; None where the cost has a
+    penalty or a negative alpha(k), under which no bound on S bounds it.
+
+    Of the m source SCCs, every seed lies in the reach of one, so k seeds
+    soil at most the k largest source reaches. A seed that soils weight
+    only source i reaches (i's private weight p_i) is reached by i alone,
+    so k seeds miss at least the m - k smallest p_i. So they soil at most
+    W(k) = min(T - the m - k smallest p_i, the min(k, m) largest reaches)
+    of the total weight T. W(k) is summed exactly, in the units of
+    ``_units``, and divided by the float total with one correctly rounded
+    division; where ``_Measure`` sums in order, W(k) is first multiplied
+    by 1 + N * 2^-52, more than an ordered sum of N weights rounds up.
+    With alpha >= 0, no step of ``_value`` decreases as S grows.
+    """
+    alpha, size_term = evaluator._size_tables
+    if evaluator._penalties or min(alpha[1:]) < 0.0:
+        return None
+    n = evaluator._n_total
+    measure = evaluator._measure
+    units, exponent = _units(measure.weights.tolist())
+    sources = evaluator._sources
+    rows = evaluator._reach_rows[sources]
+    private = rows & (rows.sum(axis=0) == 1)
+    reach = [sum(compress(units, row)) for row in rows.tolist()]
+    alone = [sum(compress(units, row)) for row in private.tolist()]
+    largest = list(accumulate(sorted(reach, reverse=True), initial=0))
+    smallest = list(accumulate(sorted(alone), initial=0))
+    m, total = len(sources), sum(units)
+    # S = W * 2^-exponent / (a / b).
+    a, b = measure.total.as_integer_ratio()
+    num, den = b, a << exponent
+    if not measure.exact:
+        num, den = num * ((1 << 52) + n), den << 52
+    bounds = [math.nan]
+    for k in range(1, n + 1):
+        covered = min(total - smallest[max(m - k, 0)], largest[min(k, m)])
+        s = min(1.0, covered * num / den)
+        value = alpha[k] * s * s
+        value += size_term[k]
+        bounds.append(value)
+    return bounds
+
+
+def _proven_best(evaluator, prefixes) -> int | None:
+    """The best of the greedy ``prefixes`` (mask -> value) if ``_size_bounds``
+    proves that no subset scores above it, nor as much with fewer seeds;
+    else None."""
+    defined = [(v, -m.bit_count(), m) for m, v in prefixes.items() if v is not None]
+    if not defined:
+        return None
+    value, fewer, best = max(defined)
+    bounds = _size_bounds(evaluator)
+    if bounds is None:
+        return None
+    for k in range(1, len(bounds)):
+        if not (bounds[k] < value or bounds[k] == value and k >= -fewer):
+            return None
+    return best
+
+
+def _proven_result(evaluator, prefixes, best, rng_seed, optimizer, top_k) -> SearchResult:
+    """Rank the proven ``best`` among the greedy ``prefixes`` and its one-node
+    flips, which one ``flip_values`` call scores; each counts as an
+    evaluation."""
+    n = evaluator._n_total
+    flips, moves = [], []
+    for v in range(n):
+        flip = best ^ (1 << v)
+        if flip:
+            flips.append(flip)
+            moves.append(v if flip > best else n + v)
+    counts = evaluator._reach_steps[list(_bits(best))].sum(axis=0, keepdims=True, dtype=np.int32)
+    values = evaluator.flip_values(counts, [0] * len(flips), flips, moves)
+    table = {**prefixes, **dict(zip(flips, values))}
+    return _result(evaluator, table, len(prefixes) + len(flips), rng_seed, optimizer, top_k)
+
+
 def anneal(
     g: Graph,
     spec: CostSpec,
@@ -255,6 +372,13 @@ def anneal(
     top_k: int = 10,
 ) -> SearchResult:
     """Simulated annealing over subsets.
+
+    It first scores the greedy prefixes (``_greedy_prefixes``). Where the
+    schedule cannot score every nonempty subset and ``_proven_best``
+    proves the best prefix optimal, it ranks that prefix's one-node flips
+    with the prefixes and stops: rank 1 is proven, ranks 2..k are the
+    best found. Otherwise it walks as below and ranks the prefixes with
+    its table; ``evaluations`` counts them either way.
 
     Each restart starts from a random gate-feasible nonempty subset and
     flips one node's membership per step; moves that empty the set or
@@ -284,6 +408,9 @@ def anneal(
     steps = schedule.steps_per_temperature
     # The table holds at most each restart's start and one subset per flip.
     forgets = every_subset > schedule.restarts * (1 + len(temperatures) * steps)
+    prefixes = _greedy_prefixes(evaluator)
+    if forgets and (best := _proven_best(evaluator, prefixes)) is not None:
+        return _proven_result(evaluator, prefixes, best, rng_seed, "sa", top_k)
     rngs = [np.random.default_rng([rng_seed, r]) for r in range(schedule.restarts)]
     # Subsets scored or met since the last turnover, and those of the
     # generation before: their value, or None where a gate rules it out.
@@ -291,7 +418,7 @@ def anneal(
     older: dict[int, float | None] = {}
     current: list[int] = []
     values: list[float] = []
-    evaluations = 0
+    evaluations = len(prefixes)
     for rng in rngs:
         mask, value, used = _feasible_start(evaluator, rng, n)
         table[mask] = value
@@ -363,7 +490,7 @@ def anneal(
             table.update(_contenders(older, top_k))
             older, table = table, {}
             lookup, recall = table.get, older.get
-    return _result(evaluator, {**older, **table}, evaluations, rng_seed, "sa", top_k)
+    return _result(evaluator, {**prefixes, **older, **table}, evaluations, rng_seed, "sa", top_k)
 
 
 def _tournament(rng, fitness, size):
@@ -381,6 +508,10 @@ def evolve(
 ) -> SearchResult:
     """Genetic algorithm over seed masks.
 
+    Greedy prefixes, the proof stop and ``evaluations`` are as in
+    ``anneal``; the generations cannot score every subset when
+    2^N - 1 > ``population_size`` * (``generations`` + 1).
+
     Individuals are int masks, as annealing's subsets are. Crossover and
     mutation draw numpy 0/1 rows, one column per node, packed into masks.
     Gate-undefined individuals get fitness below every defined score, so
@@ -390,15 +521,20 @@ def evolve(
     Empty offspring are repaired by setting one random bit. Individuals
     already in the table of scored subsets are looked up, not rescored,
     but ``evaluations`` counts every one assessed; the ranking is over
-    the whole table. The search stops early once it has scored every
-    nonempty subset, when its ranking is exact.
+    the whole table and the prefixes. The search stops early once its
+    table holds every nonempty subset, when its ranking is exact.
     """
     _check_top_k(top_k)
     n = g.n_nodes
     evaluator = SubsetEvaluator(g, spec)
+    pop_size = params.population_size
+    prefixes = _greedy_prefixes(evaluator)
+    # Each generation assesses pop_size individuals, the first one too.
+    forgets = (1 << n) - 1 > pop_size * (params.generations + 1)
+    if forgets and (best := _proven_best(evaluator, prefixes)) is not None:
+        return _proven_result(evaluator, prefixes, best, rng_seed, "ga", top_k)
     mutation_rate = params.mutation_rate if params.mutation_rate is not None else 1.0 / n
     rng = np.random.default_rng([rng_seed])
-    pop_size = params.population_size
 
     population = _masks(rng.integers(0, 2, (pop_size, n), dtype=np.uint8))
     for i in range(pop_size):
@@ -406,10 +542,11 @@ def evolve(
             # int(): 1 << np.int64(k) wraps to 0 from k = 64 on.
             population[i] = 1 << int(rng.integers(0, n))
 
-    # Every subset scored so far: its value, or None where a gate rules it
-    # out. It is both the search's cache and the pool it ranks.
+    # Every subset the walk scored so far: its value, or None where a gate
+    # rules it out. It is both the walk's cache and, with the prefixes, the
+    # pool the search ranks.
     table: dict[int, float | None] = {}
-    evaluations = 0
+    evaluations = len(prefixes)
 
     def assess(pop):
         nonlocal evaluations
@@ -444,4 +581,4 @@ def evolve(
             offspring.append(child)
         population = offspring
         fitness = assess(population)
-    return _result(evaluator, table, evaluations, rng_seed, "ga", top_k)
+    return _result(evaluator, {**prefixes, **table}, evaluations, rng_seed, "ga", top_k)

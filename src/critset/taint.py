@@ -57,22 +57,30 @@ def propagate(g: Graph, nodes: Iterable[str]) -> SoiledReport:
     return SoiledReport(seeds, soiled, soiled_edges)
 
 
-def _sums_exact(weights: Sequence[float]) -> bool:
-    """Whether every sum of positive ``weights``, over any subset and in any
-    order, is exact in float64.
+def _units(weights: Sequence[float]) -> tuple[list[int], int]:
+    """Each of ``weights`` as an integer count of 2^-K, and K.
 
-    Write each weight as p / 2^e and let K be the largest e. Every partial
-    sum is then a multiple of 2^-K, at most the total of p * 2^(K - e) of
-    them. A float64 holds such a sum exactly when that total is below 2^53
-    and K <= 1022 (so no sum is subnormal), and then no addition rounds.
+    Write each weight as p / 2^e and let K be the largest e: the weight is
+    p * 2^(K - e) units of 2^-K, so a sum of weights is exactly its sum of
+    units times 2^-K.
     """
     ratios = [w.as_integer_ratio() for w in weights]
     # A float's ratio has a power-of-two denominator 2^e; e is its bit length - 1.
     k = max((d.bit_length() - 1 for _, d in ratios), default=0)
-    units = 0
-    for p, d in ratios:
-        units += p << (k - d.bit_length() + 1)
-    return k <= 1022 and units < 1 << 53
+    return [p << (k - d.bit_length() + 1) for p, d in ratios], k
+
+
+def _sums_exact(weights: Sequence[float]) -> bool:
+    """Whether every sum of positive ``weights``, over any subset and in any
+    order, is exact in float64.
+
+    Every partial sum is a multiple of 2^-K (``_units``), at most their
+    total count of them. A float64 holds such a sum exactly when that total
+    is below 2^53 and K <= 1022 (so no sum is subnormal), and then no
+    addition rounds.
+    """
+    units, k = _units(weights)
+    return k <= 1022 and sum(units) < 1 << 53
 
 
 class _Measure:

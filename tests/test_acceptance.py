@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from critset import optimize
 from critset.cost import CostSpec, SubsetEvaluator, constant, over_n
 from critset.datasets import DEMO_SHORTLIST, DEMO_SHORTLIST_GATED, demo_graph
 from critset.ingest import build_from_log, generate_log, read_log_csv, write_log_csv
@@ -186,6 +187,13 @@ def test_criterion_6_heuristic_reliability():
     assert sa_hits >= 95, f"anneal matched oracle on only {sa_hits}/100 seeds"
     assert ga_hits >= 95, f"evolve matched oracle on only {ga_hits}/100 seeds"
     assert elapsed < 60.0, f"reliability run took {elapsed:.1f}s"
+
+
+def test_criterion_6_holds_for_the_walks_alone(monkeypatch):
+    # Both heuristics rank greedy prefixes with what they walked; without
+    # them, the walks alone must still meet criterion 6.
+    monkeypatch.setattr(optimize, "_greedy_prefixes", lambda evaluator: {})
+    test_criterion_6_heuristic_reliability()
 
 
 # --- criterion 7: six randomized property families, 1000 cases each ----------

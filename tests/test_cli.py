@@ -276,6 +276,19 @@ def test_analyze_sa_finds_a_start_under_a_narrow_gate(tmp_path, capsys, optimize
     assert best["score"] is not None
 
 
+@pytest.mark.parametrize("optimizer", ["sa", "ga"])
+def test_heuristics_find_the_best_single_seed_under_beta_over_n(optimizer, capsys):
+    # Random starts hold about half the nodes and slide into the subset that
+    # soils everything, which scores about 1.06 under beta = 2/n; the best
+    # single seed scores 2.6798.
+    graph = Path(__file__).parent / "golden" / "sa-200.graph"
+    args = ["analyze", "--graph", str(graph), "--beta-over-n", "2", "--optimizer", optimizer, "--format", "json"]
+    assert main(args) == 0
+    best = json.loads(capsys.readouterr().out)["best"]
+    assert best["score"] >= 2.6797
+    assert best["n"] == 1
+
+
 def test_cli_entrypoint_subprocess(demo_graph_file, run_cli):
     proc = run_cli("analyze", "--graph", demo_graph_file, "--top", "2")
     assert proc.stdout.splitlines()[1].split("\t")[1] == "1,4,6"

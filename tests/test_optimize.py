@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from critset import optimize
 from critset.constraints import same_component
-from critset.cost import CostSpec, Score, SubsetEvaluator, gated_cost, over_n
+from critset.cost import CoefficientFn, CostSpec, Score, SubsetEvaluator, gated_cost, over_n
 from critset.graphs import Graph
 from critset.optimize import (
     AnnealingSchedule,
@@ -151,39 +151,54 @@ def test_searchers_reject_a_graph_without_nodes(search):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_evolve_ranks_every_subset_it_scored(data):
-    # evaluations counts every individual assessed, repeats included, plus
-    # the subsets a feasible start took; the ranking is the full sort of
-    # every defined subset that was scored. A search whose table fills
-    # stops after the first generation that fills it.
+    # evaluations counts the greedy prefixes, every individual assessed,
+    # repeats included, and the subsets a feasible start took; the ranking
+    # is the full sort of every defined subset that was scored. A walk whose
+    # table fills stops after the first generation that fills it. The proof
+    # is off, so every search walks.
     g = data.draw(st.one_of(graphs(max_nodes=7), star_graphs(6)))
     spec = data.draw(cost_specs(g))
     params = GaParams(population_size=data.draw(st.integers(2, 8)), generations=data.draw(st.integers(1, 6)))
     rng_seed = data.draw(st.integers(0, 2**32))
     top_k = data.draw(st.integers(1, 12))
-    scored, starts, tables = set(), [], []
-    evaluate_mask, feasible_start = SubsetEvaluator.evaluate_mask, optimize._feasible_start
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SubsetEvaluator, "evaluate_mask", lambda self, m: scored.add(m) or evaluate_mask(self, m))
-        patch.setattr(optimize, "_feasible_start", lambda *a: starts.append(feasible_start(*a)) or starts[-1])
-        patch.setattr(optimize, "_result", lambda ev, values, *a: tables.append(len(values)) or _result(ev, values, *a))
-        result = _outcome(functools.partial(evolve, top_k=top_k), g, spec, params, rng_seed)
+    every_subset = (1 << g.n_nodes) - 1
+    calls, starts, prefixes, ranked_at = [], [], [], []
+    evaluate_mask, feasible_start, greedy = SubsetEvaluator.evaluate_mask, optimize._feasible_start, optimize._greedy_prefixes
+
+    def run(generations):
+        calls.clear(), starts.clear(), prefixes.clear(), ranked_at.clear()
+        result = _outcome(
+            functools.partial(evolve, top_k=top_k), g, spec, dataclasses.replace(params, generations=generations), rng_seed
+        )
         used = sum(u for _, _, u in starts)
-        if isinstance(result, SearchResult) and tables[0] == (1 << g.n_nodes) - 1:
-            generations, rest = divmod(result.evaluations - used, params.population_size)
+        # Before ranking, the walk has scored each mask of its table once;
+        # of the subsets a feasible start scored, only the start enters it.
+        return result, used, ranked_at[0] - len(prefixes[0]) - used + bool(starts) if ranked_at else None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SubsetEvaluator, "evaluate_mask", lambda self, m: calls.append(m) or evaluate_mask(self, m))
+        patch.setattr(optimize, "_feasible_start", lambda *a: starts.append(feasible_start(*a)) or starts[-1])
+        patch.setattr(optimize, "_greedy_prefixes", lambda ev: prefixes.append(greedy(ev)) or prefixes[-1])
+        patch.setattr(optimize, "_proven_best", lambda *a: None)
+        patch.setattr(optimize, "_result", lambda *a: ranked_at.append(len(calls)) or _result(*a))
+        result, used, table = run(params.generations)
+        scored, greedy_count = set(calls), len(prefixes[0])
+        if isinstance(result, SearchResult) and table == every_subset:
+            generations, rest = divmod(result.evaluations - used - greedy_count, params.population_size)
             generations -= 1
             assert rest == 0 and 0 <= generations <= params.generations
             if generations > 1:
                 # One generation fewer leaves the table short of every subset.
-                evolve(g, spec, dataclasses.replace(params, generations=generations - 1), rng_seed)
-                assert tables[-1] < (1 << g.n_nodes) - 1
+                assert run(generations - 1)[2] < every_subset
         else:
             generations = params.generations
     if not isinstance(result, SearchResult):
         return
     evaluator = SubsetEvaluator(g, spec)
+    assert greedy(evaluator).keys() <= scored
     seen = {m: sc for m in scored if (sc := evaluator.evaluate_mask(m)).defined}
     ranked = _full_sort_ranking(evaluator, seen, top_k)
-    evaluations = params.population_size * (generations + 1) + used
+    evaluations = params.population_size * (generations + 1) + used + greedy_count
     assert result == SearchResult(ranked[0], ranked, evaluations, rng_seed, "ga")
 
 
@@ -386,11 +401,13 @@ def _walk_alone(g, spec, schedule, rng_seed, top_k):
     # Reference: each restart in turn walks on its own stream, as a loop of
     # single flips scored from scratch by evaluate_mask. The restarts are
     # then replayed side by side, step by step, until together they have
-    # scored every nonempty subset, where the search stops.
+    # scored every nonempty subset, where the search stops. The greedy
+    # prefixes join the ranking.
     evaluator = SubsetEvaluator(g, spec)
     n = g.n_nodes
+    prefixes = optimize._greedy_prefixes(evaluator)
     scored = {}  # mask -> value, or None where gated out
-    evaluations = 0
+    evaluations = len(prefixes)
     walks = []  # per restart, the neighbour each step scores, or 0 for none
     for r in range(schedule.restarts):
         rng = np.random.default_rng([rng_seed, r])
@@ -422,7 +439,7 @@ def _walk_alone(g, spec, schedule, rng_seed, top_k):
             if neighbor:
                 evaluations += 1
                 scored[neighbor] = evaluator.evaluate_mask(neighbor).value
-    return optimize._result(evaluator, scored, evaluations, rng_seed, "sa", top_k)
+    return optimize._result(evaluator, {**prefixes, **scored}, evaluations, rng_seed, "sa", top_k)
 
 
 short_schedules = st.builds(
@@ -440,7 +457,9 @@ def _lockstep_equals_walking_alone(g, data):
     schedule = data.draw(short_schedules)
     rng_seed = data.draw(st.integers(0, 2**32))
     top_k = data.draw(st.integers(1, 12))
-    got = _outcome(functools.partial(anneal, top_k=top_k), g, spec, schedule, rng_seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_proven_best", lambda *a: None)
+        got = _outcome(functools.partial(anneal, top_k=top_k), g, spec, schedule, rng_seed)
     assert got == _outcome(_walk_alone, g, spec, schedule, rng_seed, top_k)
     return got, schedule
 
@@ -499,12 +518,13 @@ def test_feasible_start_counts_the_subsets_it_scored(n_nodes, rng_seed):
 
 
 def test_anneal_single_node_graph_equals_walking_alone():
-    # Every flip of the only node would empty the subset, so no move is made.
+    # Every flip of the only node would empty the subset, so no move is
+    # made: the evaluations are the one greedy prefix and the three starts.
     g = Graph(["only"])
     schedule = AnnealingSchedule(steps_per_temperature=3, minimum_temperature=0.1, restarts=3)
     result = anneal(g, BETA_ONE, schedule, rng_seed=4)
     assert result == _walk_alone(g, BETA_ONE, schedule, 4, 10)
-    assert result.evaluations == 3
+    assert result.evaluations == 4
 
 
 @pytest.mark.parametrize("rng_seed", range(1, 11))
@@ -528,3 +548,53 @@ def test_evolve_stops_with_the_exact_ranking_once_every_subset_is_scored(demo, r
     result = evolve(demo, BETA_ONE, GaParams(mutation_rate=0.5), rng_seed=rng_seed)
     assert result.ranked == exhaustive_search(demo, BETA_ONE).ranked
     assert result.evaluations < 4_040
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_size_bounds_hold_and_a_proven_best_is_the_optimum(data):
+    # F_k bounds every defined k-subset's value, as exhaustive search scores
+    # it, under both measures, with or without gates; ordered sums round
+    # with float weights, and dyadic ones sum exactly. There is no bound
+    # under a penalty or where some alpha(k) < 0.
+    g = data.draw(st.one_of(graphs(max_nodes=8), graphs(max_nodes=8, dyadic=True), star_graphs(7)))
+    spec = data.draw(cost_specs(g))
+    for field, value in [
+        ("penalties", ()),
+        ("alpha", CoefficientFn(spec.alpha.form, abs(spec.alpha.c))),
+        ("gates", ()),
+    ]:
+        if data.draw(st.booleans()):
+            spec = dataclasses.replace(spec, **{field: value})
+    evaluator = SubsetEvaluator(g, spec)
+    bounds = optimize._size_bounds(evaluator)
+    assert (bounds is None) == (bool(spec.penalties) or min(evaluator._size_tables[0][1:]) < 0.0)
+    if bounds is None:
+        return
+    exact = _outcome(exhaustive_search, g, spec, 1 << g.n_nodes)
+    ranked = exact.ranked if isinstance(exact, SearchResult) else ()
+    for candidate in ranked:
+        assert candidate.score.value <= bounds[candidate.score.n]
+    best = optimize._proven_best(evaluator, optimize._greedy_prefixes(evaluator))
+    if best is not None:
+        assert ranked[0].score.value.hex() == evaluator.evaluate_mask(best).value.hex()
+
+
+@given(wide_graphs(), st.sampled_from([BETA_ONE, BETA_OVER_N]), st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_heuristics_never_return_less_than_the_best_greedy_prefix(g, spec, rng_seed):
+    prefixes = optimize._greedy_prefixes(SubsetEvaluator(g, spec))
+    floor = max(prefixes.values())
+    assert anneal(g, spec, FAST_SCHEDULE, rng_seed).best.score.value >= floor
+    assert evolve(g, spec, FAST_GA, rng_seed).best.score.value >= floor
+
+
+@pytest.mark.parametrize("search", [anneal, evolve])
+def test_a_proven_best_is_ranked_with_its_one_node_flips(search):
+    # The hub alone soils everything: the greedy prefix {hub} is proven
+    # under beta = 2/n, and the 64 leaves cannot fill either table.
+    g = Graph(["hub", *(f"leaf{i}" for i in range(64))], [("hub", f"leaf{i}") for i in range(64)])
+    result = search(g, BETA_OVER_N, rng_seed=3)
+    assert result.best.seeds == frozenset({"hub"})
+    assert result.evaluations == 1 + 64
+    assert [c.sorted_seeds for c in result.ranked[1:3]] == [("hub", "leaf0"), ("hub", "leaf1")]
