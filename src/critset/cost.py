@@ -250,13 +250,14 @@ class SubsetEvaluator:
 
     @cached_property
     def _sources(self) -> list[int]:
-        """The smallest node of each source SCC, ascending: of each strongly
-        connected component that no other one reaches. Node u lies in one
-        when every node that reaches u is reached by u, and is its smallest
-        when no smaller node reaches it."""
+        """The node of smallest id of each source SCC, in node order: of each
+        strongly connected component that no other one reaches. Node u lies
+        in one when every node that reaches u is reached by u, and has its
+        smallest id when the first node in id order that reaches u is u."""
         reach = self._reach_rows
         source = ~(reach.T & ~reach).any(axis=1)
-        first = reach.argmax(axis=0) == np.arange(self._n_total)
+        by_id = np.array(sorted(range(self._n_total), key=self.graph.node_ids.__getitem__))
+        first = by_id[reach[by_id].argmax(axis=0)] == np.arange(self._n_total)
         return np.flatnonzero(source & first).tolist()
 
     @cached_property
@@ -290,12 +291,7 @@ class SubsetEvaluator:
         """The value of a mask of n seeds and soiled measure s (None where a
         gate rules it out) and its gate degree, computed as ``gated_cost``
         computes them."""
-        mu = 1.0
-        for pred in self._gate_preds:
-            d = float(pred(mask, n))
-            if not 0.0 <= d <= 1.0:
-                raise ValueError(f"gate degree {d!r} outside [0, 1]")
-            mu = min(mu, d)
+        mu = self._gate_degree(mask, n) if self._gate_preds else 1.0
         if mu < self._tau:
             return None, mu
         alpha, size_term = self._size_tables
@@ -306,6 +302,18 @@ class SubsetEvaluator:
         if not math.isfinite(value):
             raise ValueError(f"cost value is not finite: {value!r}")
         return value, mu
+
+    def _gate_degree(self, mask: int, n: int) -> float:
+        """The gate degree of a mask of n seeds: its gates' degrees composed by
+        min, as ``gated_cost`` composes them. The mask passes the gates when
+        it reaches ``_tau``."""
+        mu = 1.0
+        for pred in self._gate_preds:
+            d = float(pred(mask, n))
+            if not 0.0 <= d <= 1.0:
+                raise ValueError(f"gate degree {d!r} outside [0, 1]")
+            mu = min(mu, d)
+        return mu
 
     def subset_closures(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Closures and sizes of all subsets of nodes ``first`` .. ``first + count - 1``.

@@ -3,28 +3,29 @@
 Three searchers score subsets through a ``SubsetEvaluator``, which keeps
 no scores: exhaustive enumeration (exact, capped at 22 nodes), which
 values all 2^N - 1 subsets in numpy blocks from closures built by
-doubling and keeps masks, values and sizes of those that can still rank;
-simulated annealing; and a genetic algorithm. Before the two heuristics
-walk, they score the prefixes of a greedy max-coverage order over the
-source SCCs (``_greedy_prefixes``), which join the pool they rank. Where
-the walk cannot score every subset, and the cost has no penalty and
-alpha(n) >= 0, an exact upper bound on the score of each subset size
-(``_size_bounds``) may prove the best prefix optimal; the search then
-ranks it with its one-node flips and does not walk. The walks go over
-int masks and each keep one table of mask -> value (None where gated
-out) that is both their cache and, with the prefixes, the pool they
-rank, and stop once it holds every nonempty subset. Annealing's restarts
-walk in lockstep over it: each step values the flips missing from it in
-one numpy pass over the per-node coverage counts each restart keeps
-current, with the measure and tail ``evaluate_mask`` uses. Where its
-schedule cannot fill the table, annealing keeps two generations of it
-and carries only the older one's ranking contenders (``_contenders``)
-past a turnover, so its memory is bounded by ``TABLE_KEEP``. ``_result``
-builds ``Score``s only for the contenders of the table it ranks. The two
-randomized searchers are heuristics; the test suite verifies them
-against the exhaustive result instead of assuming global optimality. All
-are deterministic for a fixed rng seed; annealing restarts draw
-independent streams derived from (seed, restart index).
+doubling; simulated annealing; and a genetic algorithm. Each keeps one
+table of mask -> value (None where gated out), and ``_contenders`` is
+the one cut of a table to the subsets that can still rank. Before the
+two heuristics walk, they score the prefixes of a greedy max-coverage
+order over the source SCCs (``_greedy_prefixes``), which join the pool
+they rank. Where the walk cannot score every subset, and the cost has
+no penalty and alpha(n) >= 0, an exact upper bound on the score of each
+subset size (``_size_bounds``) may prove the best prefix optimal; the
+search then ranks it with its one-node flips and does not walk. The
+walks go over int masks; their table is both their cache and, with the
+prefixes, the pool they rank, and they stop once it holds every
+nonempty subset. Annealing's restarts walk in lockstep over it: each
+step values the flips missing from it in one numpy pass over the
+per-node coverage counts each restart keeps current, with the measure
+and tail ``evaluate_mask`` uses. Where its schedule cannot fill the
+table, annealing cuts it to its contenders once it holds more than
+``TABLE_KEEP``, so its memory is bounded; exhaustive search cuts its
+table after every block. ``_result`` builds ``Score``s only for the
+contenders of the table it ranks. The two randomized searchers are
+heuristics; the test suite verifies them against the exhaustive result
+instead of assuming global optimality. All are deterministic for a
+fixed rng seed; annealing restarts draw independent streams derived
+from (seed, restart index).
 """
 from __future__ import annotations
 
@@ -45,14 +46,15 @@ EXHAUSTIVE_NODE_CAP = 22
 # whose arrays fit in cache run fastest: at 22 nodes 2^12 and 2^13 ran
 # alike, 2^14 up to 30% and 2^16 over twice as slow.
 EXHAUSTIVE_BLOCK_SIZE = 1 << 13
-# Subsets annealing's current table may hold at the end of a temperature
-# level before it turns over; the two generations then hold at most
-# 2 * (TABLE_KEEP + restarts * steps per level) subsets plus the ranking's
-# ties. With the default schedule and rng seed 0, 2^12 needs as many numpy
-# passes as a table that forgets nothing on the 196-node sa-200 graph and
-# a gated 73-node graph (8,325 and 5,779); 1,460 raised the gated one's to
-# 5,950, and 1 to 8,899, as its gated walks come back to subsets later.
-TABLE_KEEP = 1 << 12
+# Subsets annealing's table may hold at the end of a temperature level
+# before it is cut to its ranking contenders, so it holds at most
+# TABLE_KEEP + restarts * steps per level plus the ranking's ties. With
+# the default schedule and rng seed 0, the golden sa-200-edge and
+# gated-73-sa walks score 79,827 and 35,797 subsets in 8,991 and 5,785
+# numpy passes; a table that forgets nothing scores 78,532 and 33,061
+# (8,983 and 5,779 passes), 2^12 80,680 and 37,529, and 1 85,494 and
+# 72,006 (9,000 and 8,998 passes), as the walks come back to subsets.
+TABLE_KEEP = 1 << 13
 _MAX_START_ATTEMPTS = 1000
 
 
@@ -196,11 +198,11 @@ def exhaustive_search(
     low_closures, low_sizes = evaluator.subset_closures(0, low_bits)
     high_closures, high_sizes = evaluator.subset_closures(low_bits, n - low_bits)
     low_masks = np.arange(1 << low_bits, dtype=np.int64)
-    # Masks, values and sizes of every mask up to and tied with the k-th on
-    # (score, size): _result breaks those ties by seed ids. The first cut
+    # The contenders so far, and the (value, size) of the worst of them once
+    # there are top_k: a mask ranked after it cannot rank. The first cut
     # keeps every defined mask; NaN, the value of a gated-out one, fails
     # every comparison in _at_or_above, so no cut keeps it.
-    kept = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))
+    table: dict[int, float] = {}
     cut = (-math.inf, n)
     for high in range(1 << (n - low_bits)):
         start = 1 if high == 0 else 0  # skip the empty subset
@@ -208,17 +210,14 @@ def exhaustive_search(
         sizes = low_sizes[start:] + high_sizes[high]
         values = evaluator.evaluate_block(masks, low_closures[start:] | high_closures[high], sizes)
         keep = _at_or_above(values, sizes, cut)
-        masks, values, sizes = (np.concatenate((a, b[keep])) for a, b in zip(kept, (masks, values, sizes)))
-        if len(masks) >= top_k:
-            kth = np.lexsort((sizes, -values))[top_k - 1]
-            cut = (values[kth], sizes[kth])
-            keep = _at_or_above(values, sizes, cut)
-            masks, values, sizes = masks[keep], values[keep], sizes[keep]
-        kept = masks, values, sizes
-    if len(masks) == 0:
+        table.update(zip(masks[keep].tolist(), values[keep].tolist()))
+        if len(table) >= top_k:
+            table = _contenders(table, top_k)
+            value, fewer = min((v, -m.bit_count()) for m, v in table.items())
+            cut = (value, -fewer)
+    if not table:
         raise InfeasibleSearchError("every subset is gated out; no defined candidate exists")
-    values = dict(zip(masks.tolist(), values.tolist()))
-    return _result(evaluator, values, (1 << n) - 1, rng_seed, "exhaustive", top_k)
+    return _result(evaluator, table, (1 << n) - 1, rng_seed, "exhaustive", top_k)
 
 
 def _at_or_above(values: np.ndarray, sizes: np.ndarray, cut) -> np.ndarray:
@@ -229,25 +228,24 @@ def _at_or_above(values: np.ndarray, sizes: np.ndarray, cut) -> np.ndarray:
 
 
 def _feasible_start(evaluator, rng, n):
-    """A gate-feasible start, its value and the number of subsets scored to
+    """A gate-feasible start, its value and the number of subsets tested to
     find it: uniformly random subsets first, then the singletons in a
-    random order."""
+    random order. Each is tested against the gates alone; only the start
+    is scored."""
     used = 0
     for _ in range(_MAX_START_ATTEMPTS):
         mask = _masks([rng.integers(0, 2, n)])[0]
         if not mask:
             continue
-        value = evaluator.evaluate_mask(mask).value
         used += 1
-        if value is not None:
-            return mask, value, used
+        if evaluator._gate_degree(mask, mask.bit_count()) >= evaluator._tau:
+            return mask, evaluator.evaluate_mask(mask).value, used
     # Random subsets hold about n/2 seeds, which a gate on size or on
     # components can rule out almost everywhere.
     for v in rng.permutation(n).tolist():
-        value = evaluator.evaluate_mask(1 << v).value
         used += 1
-        if value is not None:
-            return 1 << v, value, used
+        if evaluator._gate_degree(1 << v, 1) >= evaluator._tau:
+            return 1 << v, evaluator.evaluate_mask(1 << v).value, used
     raise InfeasibleSearchError(
         f"no gate-feasible starting subset found in {_MAX_START_ATTEMPTS} random attempts"
         f" or among the {n} single-node subsets"
@@ -260,14 +258,14 @@ def _greedy_prefixes(evaluator) -> dict[int, float | None]:
 
     Each step adds the source SCC representative (``_sources``) whose reach
     soils the most weight not yet soiled, as ``_Measure.soiled`` sums it,
-    the smallest on ties, until none soils more. A source reaches all that
-    any node it reaches does, and every node is reached from a source, so
-    no other node gains more.
+    the first in node order on ties, until none soils more. A source
+    reaches all that any node it reaches does, and every node is reached
+    from a source, so no other node gains more.
     """
     sources = evaluator._sources
     rows = evaluator._reach_rows[sources]
     unsoiled = np.ones(evaluator._n_total, dtype=bool)
-    left = list(range(len(sources)))  # ascending, so index() finds the smallest
+    left = list(range(len(sources)))  # in node order, so index() finds the first
     mask = 0
     prefixes: dict[int, float | None] = {}
     while left:
@@ -376,25 +374,27 @@ def anneal(
     It first scores the greedy prefixes (``_greedy_prefixes``). Where the
     schedule cannot score every nonempty subset and ``_proven_best``
     proves the best prefix optimal, it ranks that prefix's one-node flips
-    with the prefixes and stops: rank 1 is proven, ranks 2..k are the
-    best found. Otherwise it walks as below and ranks the prefixes with
-    its table; ``evaluations`` counts them either way.
+    with the prefixes and stops: rank 1's score and size are proven, and
+    a tie with another subset of that score and size is broken only among
+    the subsets scored; ranks 2..k are the best found. Otherwise it walks
+    as below and ranks the prefixes with its table; ``evaluations``
+    counts them either way, and counts each subset a start tested.
 
     Each restart starts from a random gate-feasible nonempty subset and
     flips one node's membership per step; moves that empty the set or
     fail a gate are rejected, worse moves are accepted with probability
     exp(delta/T). Restarts draw from independent RNG streams and walk in
     lockstep, so each step scores their unscored flips in one batch; the
-    incumbent best is kept across them. Scored subsets are kept in two
-    generations: once the current one holds more than ``TABLE_KEEP`` at
-    the end of a temperature level, it becomes the older one, together
-    with the older one's ranking contenders, and the rest is forgotten;
-    a forgotten subset met again is scored again, to the same value. So
-    memory is bounded by ``TABLE_KEEP`` and one level's flips rather than
-    by the number of levels, and the walk and ranking are those of a
-    table that keeps everything. Where the schedule can score every
-    nonempty subset, nothing is forgotten, and the search stops early
-    once it has, when its ranking is exact.
+    incumbent best is kept across them. Scored subsets are kept in one
+    table: once it holds more than ``TABLE_KEEP`` at the end of a
+    temperature level, it is cut to its ranking contenders
+    (``_contenders``) and the rest is forgotten; a forgotten subset met
+    again is scored again, to the same value. So memory is bounded by
+    ``TABLE_KEEP`` and one level's flips rather than by the number of
+    levels, and the walk and ranking are those of a table that keeps
+    everything. Where the schedule can score every nonempty subset,
+    nothing is forgotten, and the search stops early once it has, when
+    its ranking is exact.
     """
     _check_top_k(top_k)
     evaluator = SubsetEvaluator(g, spec)
@@ -412,10 +412,9 @@ def anneal(
     if forgets and (best := _proven_best(evaluator, prefixes)) is not None:
         return _proven_result(evaluator, prefixes, best, rng_seed, "sa", top_k)
     rngs = [np.random.default_rng([rng_seed, r]) for r in range(schedule.restarts)]
-    # Subsets scored or met since the last turnover, and those of the
-    # generation before: their value, or None where a gate rules it out.
+    # Subsets scored since the last turnover, and the contenders it kept:
+    # their value, or None where a gate rules it out.
     table: dict[int, float | None] = {}
-    older: dict[int, float | None] = {}
     current: list[int] = []
     values: list[float] = []
     evaluations = len(prefixes)
@@ -433,7 +432,7 @@ def anneal(
     counts = np.array([reach_steps[list(_bits(m))].sum(axis=0, dtype=np.int32) for m in current])
     still = [2 * n] * len(rngs)
     exp = math.exp
-    lookup, recall = table.get, older.get
+    lookup = table.get
     unscored = object()
     for temperature in temperatures:
         if len(table) == every_subset:
@@ -454,15 +453,11 @@ def anneal(
                 evaluations += 1
                 value = lookup(neighbor, unscored)
                 if value is unscored:
-                    value = recall(neighbor, unscored)
-                    if value is unscored:
-                        misses.append(r)
-                        neighbors.append(neighbor)
-                        # The flip adds v exactly when it makes the mask larger.
-                        miss_moves.append(v if neighbor > mask else n + v)
-                        continue
-                    # Met again in this generation: keep it through the next turnover.
-                    table[neighbor] = value
+                    misses.append(r)
+                    neighbors.append(neighbor)
+                    # The flip adds v exactly when it makes the mask larger.
+                    miss_moves.append(v if neighbor > mask else n + v)
+                    continue
                 if value is not None:
                     delta = value - values[r]
                     # math.exp, not np.exp: the two can differ in the last bit.
@@ -487,10 +482,9 @@ def anneal(
         if forgets and len(table) > TABLE_KEEP:
             # A subset of the final top k is a contender of every part of the
             # scored subsets that holds it, so each turnover carries it.
-            table.update(_contenders(older, top_k))
-            older, table = table, {}
-            lookup, recall = table.get, older.get
-    return _result(evaluator, {**prefixes, **older, **table}, evaluations, rng_seed, "sa", top_k)
+            table = _contenders(table, top_k)
+            lookup = table.get
+    return _result(evaluator, {**prefixes, **table}, evaluations, rng_seed, "sa", top_k)
 
 
 def _tournament(rng, fitness, size):

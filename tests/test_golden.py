@@ -39,6 +39,7 @@ import pytest
 
 from critset import optimize
 from critset.cli import main
+from critset.cost import SubsetEvaluator
 
 GOLDEN = Path(__file__).parent / "golden"
 GATED = ["--gate", "same-component", "--penalty"]
@@ -76,3 +77,32 @@ def test_annealing_on_sa_200_ranks_a_bounded_table(capsys, monkeypatch):
     monkeypatch.setattr(optimize, "_result", lambda ev, values, *a: sizes.append(len(values)) or result(ev, values, *a))
     test_analyze_report_matches_golden("sa-200-edge", capsys)
     assert sizes and sizes[0] < 10_000
+
+
+@pytest.mark.parametrize("name,passes,scored", [("sa-200-edge", 8_991, 79_827), ("gated-73-sa", 5_785, 35_797)])
+def test_annealing_scoring_work_on_the_golden_walks(name, passes, scored, capsys, monkeypatch):
+    # With the default schedule and rng seed 0: the numpy passes of
+    # flip_values, the subsets they score, and the evaluate_mask calls the
+    # ten restarts' starts make. A table that forgets more rescores more.
+    work = {"passes": 0, "scored": 0, "starts": 0}
+    calls = []
+    flip_values, evaluate_mask, feasible_start = (
+        SubsetEvaluator.flip_values, SubsetEvaluator.evaluate_mask, optimize._feasible_start
+    )
+
+    def counted_flips(self, counts, rows, masks, steps):
+        work["passes"] += 1
+        work["scored"] += len(masks)
+        return flip_values(self, counts, rows, masks, steps)
+
+    def counted_start(*args):
+        before = len(calls)
+        start = feasible_start(*args)
+        work["starts"] += len(calls) - before
+        return start
+
+    monkeypatch.setattr(SubsetEvaluator, "flip_values", counted_flips)
+    monkeypatch.setattr(SubsetEvaluator, "evaluate_mask", lambda self, m: calls.append(m) or evaluate_mask(self, m))
+    monkeypatch.setattr(optimize, "_feasible_start", counted_start)
+    test_analyze_report_matches_golden(name, capsys)
+    assert work == {"passes": passes, "scored": scored, "starts": 10}

@@ -11,6 +11,7 @@ from critset import optimize
 from critset.constraints import same_component
 from critset.cost import CoefficientFn, CostSpec, Score, SubsetEvaluator, gated_cost, over_n
 from critset.graphs import Graph
+from critset.ingest import build_from_log, generate_log
 from critset.optimize import (
     AnnealingSchedule,
     Candidate,
@@ -171,9 +172,9 @@ def test_evolve_ranks_every_subset_it_scored(data):
             functools.partial(evolve, top_k=top_k), g, spec, dataclasses.replace(params, generations=generations), rng_seed
         )
         used = sum(u for _, _, u in starts)
-        # Before ranking, the walk has scored each mask of its table once;
-        # of the subsets a feasible start scored, only the start enters it.
-        return result, used, ranked_at[0] - len(prefixes[0]) - used + bool(starts) if ranked_at else None
+        # Before ranking, the walk has scored each mask of its table once; a
+        # feasible start scores only the start, which enters it.
+        return result, used, ranked_at[0] - len(prefixes[0]) if ranked_at else None
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SubsetEvaluator, "evaluate_mask", lambda self, m: calls.append(m) or evaluate_mask(self, m))
@@ -483,8 +484,7 @@ def test_anneal_equals_restarts_walking_alone_past_64_nodes(g, data):
 def test_anneal_turning_over_every_level_equals_walking_alone(g, data):
     # No schedule drawn here can score all 2^64 subsets, so the table turns
     # over at the end of every level where its size passes TABLE_KEEP: with
-    # 0, every level, each forgetting all but the older generation's
-    # contenders.
+    # 0, every level, each forgetting all but its contenders.
     calls = []
     contenders = optimize._contenders
     with pytest.MonkeyPatch.context() as patch:
@@ -499,22 +499,24 @@ def test_anneal_turning_over_every_level_equals_walking_alone(g, data):
         assert len(calls) == 2 + levels
 
 
-@pytest.mark.parametrize("n_nodes,rng_seed", [(2, 4), (2, 10), (2, 11), (30, 0)])
-def test_feasible_start_counts_the_subsets_it_scored(n_nodes, rng_seed):
+@pytest.mark.parametrize(
+    "n_nodes,rng_seed,used", [(2, 4, 4), (2, 10, 3), (2, 11, 1), (30, 0, 1001)], ids=["2-4", "2-10", "2-11", "30-0"]
+)
+def test_feasible_start_counts_the_subsets_it_scored(n_nodes, rng_seed, used):
     # Only singletons pass the gate. On 2 nodes these streams draw both
-    # nodes three times (seed 4), both, none (not scored) and both again
+    # nodes three times (seed 4), both, none (not tested) and both again
     # (seed 10), or none (seed 11) before a singleton; on 30 nodes every
-    # random draw fails and the singleton fallback finds the start.
+    # random draw fails and the singleton fallback finds the start. Each
+    # subset is tested against the gate alone, and only the start is scored.
     g = Graph([f"v{i}" for i in range(n_nodes)])
     evaluator = SubsetEvaluator(g, CostSpec(gates=(("cardinality:1:1", 1.0),)))
     calls = []
     evaluate_mask = evaluator.evaluate_mask
     evaluator.evaluate_mask = lambda mask: calls.append(mask) or evaluate_mask(mask)
-    mask, value, used = optimize._feasible_start(evaluator, np.random.default_rng([rng_seed, 0]), n_nodes)
+    mask, value, tested = optimize._feasible_start(evaluator, np.random.default_rng([rng_seed, 0]), n_nodes)
     assert value is not None and mask.bit_count() == 1
-    assert used == len(calls)
-    if n_nodes == 30:
-        assert used == optimize._MAX_START_ATTEMPTS + 1
+    assert tested == used
+    assert calls == [mask]
 
 
 def test_anneal_single_node_graph_equals_walking_alone():
@@ -598,3 +600,16 @@ def test_a_proven_best_is_ranked_with_its_one_node_flips(search):
     assert result.best.seeds == frozenset({"hub"})
     assert result.evaluations == 1 + 64
     assert [c.sorted_seeds for c in result.ranked[1:3]] == [("hub", "leaf0"), ("hub", "leaf1")]
+
+
+@pytest.mark.parametrize("spec", [BETA_ONE, BETA_OVER_N, CostSpec(mode="edge")], ids=["beta-1", "beta-2/n", "edge"])
+def test_a_proven_best_has_the_exhaustive_rank_1_seeds(spec):
+    # On this 18-node graph the proof fires under each cost. n4 and n12 lie
+    # in one source SCC, n4 first in node order: greedy must take n12, the
+    # smaller id, as rank_key does, to return exhaustive search's rank 1.
+    g = build_from_log(generate_log(20, 20, 3))
+    expected = exhaustive_search(g, spec).best
+    for search in (anneal, evolve):
+        result = search(g, spec)
+        assert result.evaluations < 30
+        assert result.best == expected
