@@ -4,9 +4,8 @@ Subcommands: ``analyze`` runs a subset search over a graph file,
 ``tables`` prints the three bundled demo-graph score tables, ``ingest``
 turns a transaction log CSV into a graph file, and ``gen-log`` writes a
 synthetic log. Results go to stdout, diagnostics to stderr. Exit codes:
-0 success, 1 parse or validation failure, 2 no gate-feasible subset found
-(a proof that gates rule out every subset only under ``exhaustive``; the
-heuristics give up after 1000 random draws and every singleton).
+0 success, 1 parse or validation failure, 2 no subset passes the gates,
+which every optimizer proves before it exits with 2.
 """
 from __future__ import annotations
 

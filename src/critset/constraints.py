@@ -7,13 +7,16 @@ them: ``same-component``, ``cardinality:<min>:<max>``,
 ``require:<id,...>``, ``forbid:<id,...>``, ``fuzzy-small:<scale>``.
 
 ``evaluate`` takes a frozenset of node ids and is the reference form.
-``compile`` turns an evaluator into a ``MaskPredicate`` for one graph,
-the form the optimizers score with.
+``compile`` gives an evaluator's ``MaskPredicate`` on one graph, the form
+the optimizers score with. Every constraint has that one form, and so do
+gates composed by min (``&``), so a search reads from it which subsets
+pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -35,11 +38,48 @@ class UnknownConstraintError(ConstraintError):
         self.constraint_id = constraint_id
 
 
-MaskPredicate = Callable[[Any, Any], Any]
-"""``pred(mask, n)``: the degree of the subset whose bit i is set when node
-``graph.node_ids[i]`` is a seed, and whose size is n. It takes Python ints,
-or numpy int64 arrays of masks and sizes (graphs of at most 63 nodes) to
-score many subsets at once. Crisp predicates give bools, fuzzy ones floats."""
+@dataclass(frozen=True)
+class MaskPredicate:
+    """``pred(mask, n)``: the degree of the subset whose bit i is set when
+    node ``graph.node_ids[i]`` is a seed, and whose size is n. It is
+    ``by_size[n]`` where the mask lies inside one mask of ``within``, holds
+    every node of ``required`` and none of ``forbidden``, and 0 elsewhere.
+    It takes Python ints, or numpy int64 arrays of masks and sizes (graphs
+    of at most 63 nodes) to score many subsets at once. A degree outside
+    [0, 1] is rejected when it is built."""
+
+    by_size: tuple[float, ...]
+    within: tuple[int, ...]
+    required: int = 0
+    forbidden: int = 0
+
+    def __post_init__(self):
+        for d in self.by_size:
+            if not 0.0 <= d <= 1.0:
+                raise ValueError(f"degree {d!r} outside [0, 1]")
+
+    @cached_property
+    def _by_size(self) -> np.ndarray:
+        return np.array(self.by_size)
+
+    def __call__(self, mask, n):
+        holds = ((mask & self.required) == self.required) & ((mask & self.forbidden) == 0)
+        inside = False
+        for w in self.within:
+            inside = inside | ((mask & w) == mask)
+        if isinstance(mask, int):
+            return self.by_size[n] if holds and inside else 0.0
+        return np.where(holds & inside, self._by_size[n], 0.0)
+
+    def __and__(self, other: MaskPredicate) -> MaskPredicate:
+        """The min of the two, as gates compose: no degree is below 0, so
+        it is 0 wherever either is."""
+        return MaskPredicate(
+            tuple(map(min, self.by_size, other.by_size)),
+            tuple(a & b for a in self.within for b in other.within if a & b),
+            self.required | other.required,
+            self.forbidden | other.forbidden,
+        )
 
 
 @dataclass(frozen=True)
@@ -62,32 +102,29 @@ def same_component(g: Graph, seeds: frozenset[str]) -> float:
     return 1.0 if len(indices) == 1 else 0.0
 
 
-def _compile_same_component(g: Graph) -> MaskPredicate:
-    components = [_mask_of(g, c) for c in weak_components(g).components]
+def _compile(g: Graph, by_size=lambda n: 1.0, components=False, required=(), forbidden=()) -> MaskPredicate:
+    """A constraint's ``MaskPredicate`` on g: degree ``by_size(n)`` at each
+    size n >= 1 (0 for the empty subset), inside one weak component where
+    ``components`` is set, else the whole graph, with every node id of
+    ``required`` and none of ``forbidden``."""
+    within = [_mask_of(g, c) for c in weak_components(g).components] if components else [(1 << g.n_nodes) - 1]
+    degrees = (0.0, *map(by_size, range(1, g.n_nodes + 1)))
+    return MaskPredicate(degrees, tuple(within), _check_known(g, required), _check_known(g, forbidden))
 
-    def holds(mask, n):
-        inside = False
-        for c in components:
-            inside = inside | ((mask & c) == mask)
-        return inside
 
-    return holds
+SAME_COMPONENT = ConstraintEvaluator("same-component", CRISP, same_component, partial(_compile, components=True))
 
-SAME_COMPONENT = ConstraintEvaluator("same-component", CRISP, same_component, _compile_same_component)
+
+def _on_size(constraint_id: str, kind: str, degree: Callable[[int], float]) -> ConstraintEvaluator:
+    """A constraint on the number of seeds alone, of degree ``degree(n)``."""
+    return ConstraintEvaluator(constraint_id, kind, lambda g, seeds: degree(len(seeds)), partial(_compile, by_size=degree))
 
 
 def cardinality_between(lo: int, hi: int) -> ConstraintEvaluator:
     """1 iff lo <= |seeds| <= hi."""
     if not 1 <= lo <= hi:
         raise ConstraintError(f"cardinality bounds must satisfy 1 <= min <= max, got ({lo}, {hi})")
-
-    def evaluate(g: Graph, seeds: frozenset[str]) -> float:
-        return 1.0 if lo <= len(seeds) <= hi else 0.0
-
-    def compile(g: Graph) -> MaskPredicate:
-        return lambda mask, n: (n >= lo) & (n <= hi)
-
-    return ConstraintEvaluator(f"cardinality:{lo}:{hi}", CRISP, evaluate, compile)
+    return _on_size(f"cardinality:{lo}:{hi}", CRISP, lambda n: 1.0 if lo <= n <= hi else 0.0)
 
 
 def _check_known(g: Graph, ids: frozenset[str]) -> int:
@@ -106,11 +143,7 @@ def require_nodes(required) -> ConstraintEvaluator:
         _check_known(g, wanted)
         return 1.0 if wanted <= seeds else 0.0
 
-    def compile(g: Graph) -> MaskPredicate:
-        want = _check_known(g, wanted)
-        return lambda mask, n: (mask & want) == want
-
-    return ConstraintEvaluator("require:" + ",".join(sorted(wanted)), CRISP, evaluate, compile)
+    return ConstraintEvaluator("require:" + ",".join(sorted(wanted)), CRISP, evaluate, partial(_compile, required=wanted))
 
 
 def forbid_nodes(forbidden) -> ConstraintEvaluator:
@@ -121,11 +154,7 @@ def forbid_nodes(forbidden) -> ConstraintEvaluator:
         _check_known(g, banned)
         return 1.0 if not (banned & seeds) else 0.0
 
-    def compile(g: Graph) -> MaskPredicate:
-        ban = _check_known(g, banned)
-        return lambda mask, n: (mask & ban) == 0
-
-    return ConstraintEvaluator("forbid:" + ",".join(sorted(banned)), CRISP, evaluate, compile)
+    return ConstraintEvaluator("forbid:" + ",".join(sorted(banned)), CRISP, evaluate, partial(_compile, forbidden=banned))
 
 
 def fuzzy_small_subset(scale: float) -> ConstraintEvaluator:
@@ -135,16 +164,7 @@ def fuzzy_small_subset(scale: float) -> ConstraintEvaluator:
     """
     if not scale > 0:
         raise ConstraintError(f"fuzzy-small scale must be positive, got {scale}")
-
-    def evaluate(g: Graph, seeds: frozenset[str]) -> float:
-        return max(0.0, 1.0 - (len(seeds) - 1) / scale)
-
-    def compile(g: Graph) -> MaskPredicate:
-        # By size: a lookup for a Python int is cheap, np.maximum on one is not.
-        degree = np.maximum(0.0, 1.0 - (np.arange(g.n_nodes + 1) - 1) / scale)
-        return lambda mask, n: degree[n]
-
-    return ConstraintEvaluator(f"fuzzy-small:{scale:g}", FUZZY, evaluate, compile)
+    return _on_size(f"fuzzy-small:{scale:g}", FUZZY, lambda n: max(0.0, 1.0 - (n - 1) / scale))
 
 
 def resolve(constraint_id: str) -> ConstraintEvaluator:

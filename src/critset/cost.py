@@ -10,8 +10,9 @@ and undefined scores can never be ranked.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -205,7 +206,8 @@ class SubsetEvaluator:
     ``evaluate_block`` values many subsets from the closures that
     ``subset_closures`` enumerates, adding the same weights in the same
     order, through that tail over arrays. Constraints are compiled once
-    into mask predicates for all of these.
+    into mask predicates for all of these, and the gates, composed by min,
+    into one (``_gate``), whose degree a subset must reach ``_tau``.
     """
 
     def __init__(self, graph: Graph, spec: CostSpec):
@@ -215,7 +217,8 @@ class SubsetEvaluator:
         if not self._n_total:
             raise ValueError("the graph has no nodes")
 
-        self._gate_preds = tuple(_constraints.resolve(cid).compile(graph) for cid, _ in spec.gates)
+        gates = [_constraints.resolve(cid).compile(graph) for cid, _ in spec.gates]
+        self._gate = reduce(operator.and_, gates) if gates else None
         # A score is defined when mu reaches every gate's tau: the largest one.
         self._tau = max((tau for _, tau in spec.gates), default=0.0)
         self._penalties = tuple((eps, _constraints.resolve(cid).compile(graph)) for eps, cid in spec.penalties)
@@ -291,29 +294,17 @@ class SubsetEvaluator:
         """The value of a mask of n seeds and soiled measure s (None where a
         gate rules it out) and its gate degree, computed as ``gated_cost``
         computes them."""
-        mu = self._gate_degree(mask, n) if self._gate_preds else 1.0
+        mu = 1.0 if self._gate is None else self._gate(mask, n)
         if mu < self._tau:
             return None, mu
         alpha, size_term = self._size_tables
         value = alpha[n] * s * s
         value += size_term[n]
         for eps, pred in self._penalties:
-            value += eps * float(pred(mask, n))
+            value += eps * pred(mask, n)
         if not math.isfinite(value):
             raise ValueError(f"cost value is not finite: {value!r}")
         return value, mu
-
-    def _gate_degree(self, mask: int, n: int) -> float:
-        """The gate degree of a mask of n seeds: its gates' degrees composed by
-        min, as ``gated_cost`` composes them. The mask passes the gates when
-        it reaches ``_tau``."""
-        mu = 1.0
-        for pred in self._gate_preds:
-            d = float(pred(mask, n))
-            if not 0.0 <= d <= 1.0:
-                raise ValueError(f"gate degree {d!r} outside [0, 1]")
-            mu = min(mu, d)
-        return mu
 
     def subset_closures(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Closures and sizes of all subsets of nodes ``first`` .. ``first + count - 1``.
@@ -333,10 +324,8 @@ class SubsetEvaluator:
     def evaluate_block(self, masks: np.ndarray, closures: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """The value of each nonempty subset given as int64 arrays of masks,
         their closures and sizes, NaN where a gate rules it out; bit for bit
-        those of ``evaluate_mask``.
-
-        Raises ``ValueError`` as ``gated_cost`` does, for a gate degree
-        outside [0, 1] or a non-finite defined score.
+        those of ``evaluate_mask``. Raises ``ValueError`` as ``gated_cost``
+        does for a non-finite defined score.
         """
         soiled_w = np.zeros(len(masks))
         for i, w in enumerate(self._measure.weights.tolist()):
@@ -344,20 +333,13 @@ class SubsetEvaluator:
             soiled_w += np.where((closures >> i) & 1, w, 0.0)
         # _value over arrays.
         s = soiled_w / self._measure.total
-        mu = np.ones(len(masks))
-        for pred in self._gate_preds:
-            degree = np.asarray(pred(masks, sizes), dtype=np.float64)
-            outside = ~((degree >= 0.0) & (degree <= 1.0))
-            if outside.any():
-                raise ValueError(f"gate degree {degree[outside][0].item()!r} outside [0, 1]")
-            mu = np.minimum(mu, degree)
-        defined = mu >= self._tau
+        defined = True if self._gate is None else self._gate(masks, sizes) >= self._tau
         alpha, size_term = map(np.array, self._size_tables)
         # Overflow to inf is reported below, as _value reports it.
         with np.errstate(all="ignore"):
             value = alpha[sizes] * s * s + size_term[sizes]
             for eps, pred in self._penalties:
-                value += eps * np.asarray(pred(masks, sizes), dtype=np.float64)
+                value += eps * pred(masks, sizes)
         not_finite = defined & ~np.isfinite(value)
         if not_finite.any():
             raise ValueError(f"cost value is not finite: {value[not_finite][0].item()!r}")

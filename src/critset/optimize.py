@@ -8,12 +8,14 @@ table of mask -> value (None where gated out), and ``_contenders`` is
 the one cut of a table to the subsets that can still rank. Before the
 two heuristics walk, they score the prefixes of a greedy max-coverage
 order over the source SCCs (``_greedy_prefixes``), which join the pool
-they rank. Where the walk cannot score every subset, and the cost has
-no penalty and alpha(n) >= 0, an exact upper bound on the score of each
+they rank. Where the walk cannot score every subset, and the cost has no
+penalty and alpha(n) >= 0, an exact upper bound on the score of each
 subset size (``_size_bounds``) may prove the best prefix optimal; the
 search then ranks it with its one-node flips and does not walk. The
-walks go over int masks; their table is both their cache and, with the
-prefixes, the pool they rank, and they stop once it holds every
+walks start from random subsets, or from the gates' composed predicate
+where those fail, so they report no feasible subset only where none
+exists. They go over int masks; their table is both their cache and,
+with the prefixes, the pool they rank, and they stop once it holds every
 nonempty subset. Annealing's restarts walk in lockstep over it: each
 step values the flips missing from it in one numpy pass over the
 per-node coverage counts each restart keeps current, with the measure
@@ -23,9 +25,9 @@ table, annealing cuts it to its contenders once it holds more than
 table after every block. ``_result`` builds ``Score``s only for the
 contenders of the table it ranks. The two randomized searchers are
 heuristics; the test suite verifies them against the exhaustive result
-instead of assuming global optimality. All are deterministic for a
-fixed rng seed; annealing restarts draw independent streams derived
-from (seed, restart index).
+instead of assuming global optimality. All are deterministic for a fixed
+rng seed; annealing restarts draw independent streams derived from
+(seed, restart index).
 """
 from __future__ import annotations
 
@@ -50,12 +52,11 @@ EXHAUSTIVE_BLOCK_SIZE = 1 << 13
 # before it is cut to its ranking contenders, so it holds at most
 # TABLE_KEEP + restarts * steps per level plus the ranking's ties. With
 # the default schedule and rng seed 0, the golden sa-200-edge and
-# gated-73-sa walks score 79,827 and 35,797 subsets in 8,991 and 5,785
-# numpy passes; a table that forgets nothing scores 78,532 and 33,061
-# (8,983 and 5,779 passes), 2^12 80,680 and 37,529, and 1 85,494 and
-# 72,006 (9,000 and 8,998 passes), as the walks come back to subsets.
+# gated-73-sa walks score 79,827 and 43,667 subsets in 8,991 and 5,897
+# numpy passes; a table that forgets nothing scores 78,532 and 41,029
+# (8,983 and 5,706 passes), 2^12 80,680 and 44,788, and 1 85,494 and
+# 71,705 (9,000 and 8,986 passes), as the walks come back to subsets.
 TABLE_KEEP = 1 << 13
-_MAX_START_ATTEMPTS = 1000
 
 
 class InfeasibleSearchError(RuntimeError):
@@ -229,27 +230,27 @@ def _at_or_above(values: np.ndarray, sizes: np.ndarray, cut) -> np.ndarray:
 
 def _feasible_start(evaluator, rng, n):
     """A gate-feasible start, its value and the number of subsets tested to
-    find it: uniformly random subsets first, then the singletons in a
-    random order. Each is tested against the gates alone; only the start
-    is scored."""
-    used = 0
-    for _ in range(_MAX_START_ATTEMPTS):
+    find it (1 or 2); only the start is scored. The start is the first
+    uniformly random nonempty subset if it passes the gates; else it is
+    drawn from their composed predicate (``SubsetEvaluator._gate``):
+    uniformly one (mask of ``within``, size) pair that some subset passes,
+    then the required nodes and enough others of that mask. No pair means
+    that no subset passes: infeasibility is then proven."""
+    mask = 0
+    while not mask:
         mask = _masks([rng.integers(0, 2, n)])[0]
-        if not mask:
-            continue
-        used += 1
-        if evaluator._gate_degree(mask, mask.bit_count()) >= evaluator._tau:
-            return mask, evaluator.evaluate_mask(mask).value, used
-    # Random subsets hold about n/2 seeds, which a gate on size or on
-    # components can rule out almost everywhere.
-    for v in rng.permutation(n).tolist():
-        used += 1
-        if evaluator._gate_degree(1 << v, 1) >= evaluator._tau:
-            return 1 << v, evaluator.evaluate_mask(1 << v).value, used
-    raise InfeasibleSearchError(
-        f"no gate-feasible starting subset found in {_MAX_START_ATTEMPTS} random attempts"
-        f" or among the {n} single-node subsets"
-    )
+    gate, tau = evaluator._gate, evaluator._tau
+    if gate is None or gate(mask, mask.bit_count()) >= tau:
+        return mask, evaluator.evaluate_mask(mask).value, 1
+    required, r = gate.required, gate.required.bit_count()
+    # Per mask of within holding every required node and no forbidden one, the nodes that may join them.
+    free = [w & ~gate.forbidden & ~required for w in gate.within if not required & ~(w & ~gate.forbidden)]
+    pairs = [(f, k) for f in free for k in range(r, r + f.bit_count() + 1) if gate.by_size[k] >= tau]
+    if not pairs:
+        raise InfeasibleSearchError("no subset passes the gates")
+    f, k = pairs[rng.integers(len(pairs))]
+    mask = required | sum(1 << v for v in rng.permutation(list(_bits(f)))[: k - r].tolist())
+    return mask, evaluator.evaluate_mask(mask).value, 2
 
 
 def _greedy_prefixes(evaluator) -> dict[int, float | None]:
@@ -258,14 +259,15 @@ def _greedy_prefixes(evaluator) -> dict[int, float | None]:
 
     Each step adds the source SCC representative (``_sources``) whose reach
     soils the most weight not yet soiled, as ``_Measure.soiled`` sums it,
-    the first in node order on ties, until none soils more. A source
-    reaches all that any node it reaches does, and every node is reached
-    from a source, so no other node gains more.
+    the first in id order on ties, as ``rank_key`` breaks them, until none
+    soils more. A source reaches all that any node it reaches does, and
+    every node is reached from a source, so no other node gains more.
     """
     sources = evaluator._sources
     rows = evaluator._reach_rows[sources]
     unsoiled = np.ones(evaluator._n_total, dtype=bool)
-    left = list(range(len(sources)))  # in node order, so index() finds the first
+    # In id order, so index() finds the first.
+    left = sorted(range(len(sources)), key=lambda i: evaluator.graph.node_ids[sources[i]])
     mask = 0
     prefixes: dict[int, float | None] = {}
     while left:
@@ -380,7 +382,8 @@ def anneal(
     as below and ranks the prefixes with its table; ``evaluations``
     counts them either way, and counts each subset a start tested.
 
-    Each restart starts from a random gate-feasible nonempty subset and
+    Each restart starts from a gate-feasible subset (``_feasible_start``),
+    which exists unless the search raises ``InfeasibleSearchError``, and
     flips one node's membership per step; moves that empty the set or
     fail a gate are rejected, worse moves are accepted with probability
     exp(delta/T). Restarts draw from independent RNG streams and walk in

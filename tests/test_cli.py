@@ -263,8 +263,9 @@ def test_genlog_bad_bounds(tmp_path, capsys):
 
 @pytest.mark.parametrize("optimizer", ["sa", "ga"])
 def test_analyze_sa_finds_a_start_under_a_narrow_gate(tmp_path, capsys, optimizer):
-    # About 1,800 of the 2^60 subsets pass the gate, so random starts all
-    # fail; both heuristics must fall back to single-node starts, not exit 2.
+    # About 1,800 of the 2^60 subsets pass the gate, so a random start almost
+    # always fails; both heuristics must draw a start from the gate's sizes
+    # 1 and 2 instead, not exit 2.
     log, graph_file = tmp_path / "gen.csv", tmp_path / "gen.graph"
     assert main(["gen-log", str(log), "--nodes", "60", "--transactions", "120", "--rng-seed", "1"]) == 0
     assert main(["ingest", str(log), str(graph_file)]) == 0
@@ -274,6 +275,22 @@ def test_analyze_sa_finds_a_start_under_a_narrow_gate(tmp_path, capsys, optimize
     assert 1 <= best["n"] <= 2
     assert best["gate_degree"] == 1.0
     assert best["score"] is not None
+
+
+@pytest.mark.parametrize("optimizer", ["sa", "ga"])
+def test_heuristics_exit_2_only_when_no_subset_passes_the_gates(tmp_path, capsys, optimizer):
+    # On 65 nodes {n1, n2} is the one subset that passes both gates, which no
+    # random start finds; under cardinality:1:1 none passes, which is proven.
+    log, graph_file = tmp_path / "gen.csv", tmp_path / "gen.graph"
+    assert main(["gen-log", str(log), "--nodes", "80", "--transactions", "60", "--rng-seed", "1"]) == 0
+    assert main(["ingest", str(log), str(graph_file)]) == 0
+    argv = ["analyze", "--graph", str(graph_file), "--optimizer", optimizer, "--gate", "require:n1,n2"]
+    assert main([*argv, "--gate", "cardinality:2:2", "--format", "json"]) == 0
+    best = json.loads(capsys.readouterr().out)["ranked"][0]
+    assert best["seeds"] == ["n1", "n2"]
+    assert best["score"] == 0.9431952662721893
+    assert main([*argv, "--gate", "cardinality:1:1"]) == 2
+    assert "infeasible" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("optimizer", ["sa", "ga"])

@@ -485,16 +485,19 @@ def test_overflowing_size_term_is_a_non_finite_value(demo):
 
 @pytest.mark.parametrize("degree", [-0.5, 1.5, math.nan])
 def test_batched_tail_rejects_a_gate_degree_outside_0_1(demo, degree, monkeypatch):
-    # No registered constraint leaves [0, 1], so one that does is put in.
+    # No registered constraint leaves [0, 1], so one that does is put in. Its
+    # degree table is checked when the evaluator compiles it, before any
+    # route scores a subset.
     bad = constraints.ConstraintEvaluator(
-        "bad", constraints.FUZZY, lambda g, seeds: degree, lambda g: lambda mask, n: n * 0.0 + degree
+        "bad",
+        constraints.FUZZY,
+        lambda g, seeds: degree,
+        lambda g: constraints.MaskPredicate((degree,) * (g.n_nodes + 1), ((1 << g.n_nodes) - 1,)),
     )
     resolve = constraints.resolve
     monkeypatch.setattr(constraints, "resolve", lambda cid: bad if cid == "bad" else resolve(cid))
-    spec = CostSpec(gates=(("bad", 0.5),))
-    for route in _scoring_routes(demo, spec, 0b101):
-        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            route()
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        SubsetEvaluator(demo, CostSpec(gates=(("bad", 0.5),)))
 
 
 @given(graphs(max_nodes=6), st.data())

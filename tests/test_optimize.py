@@ -500,14 +500,15 @@ def test_anneal_turning_over_every_level_equals_walking_alone(g, data):
 
 
 @pytest.mark.parametrize(
-    "n_nodes,rng_seed,used", [(2, 4, 4), (2, 10, 3), (2, 11, 1), (30, 0, 1001)], ids=["2-4", "2-10", "2-11", "30-0"]
+    "n_nodes,rng_seed,used", [(2, 4, 2), (2, 10, 2), (2, 11, 1), (30, 0, 2)], ids=["2-4", "2-10", "2-11", "30-0"]
 )
 def test_feasible_start_counts_the_subsets_it_scored(n_nodes, rng_seed, used):
-    # Only singletons pass the gate. On 2 nodes these streams draw both
-    # nodes three times (seed 4), both, none (not tested) and both again
-    # (seed 10), or none (seed 11) before a singleton; on 30 nodes every
-    # random draw fails and the singleton fallback finds the start. Each
-    # subset is tested against the gate alone, and only the start is scored.
+    # Only singletons pass the gate. On 2 nodes these streams first draw
+    # both nodes (seeds 4 and 10), or none (not tested) and then a singleton
+    # (seed 11); on 30 nodes the first draw holds about 15. A first nonempty
+    # draw that fails the gate is followed by one drawn from the gate's
+    # predicate, which passes. Each is tested against the gate alone, and
+    # only the start is scored.
     g = Graph([f"v{i}" for i in range(n_nodes)])
     evaluator = SubsetEvaluator(g, CostSpec(gates=(("cardinality:1:1", 1.0),)))
     calls = []
@@ -517,6 +518,26 @@ def test_feasible_start_counts_the_subsets_it_scored(n_nodes, rng_seed, used):
     assert value is not None and mask.bit_count() == 1
     assert tested == used
     assert calls == [mask]
+
+
+@given(graphs(max_nodes=8), st.data())
+@settings(max_examples=1000, deadline=None)
+def test_feasible_start_exists_exactly_when_some_subset_passes_the_gates(g, data):
+    # A start is found, defined and scored alone, wherever exhaustive search
+    # finds a defined subset; elsewhere no subset passes, which the start
+    # proves by raising.
+    spec = data.draw(cost_specs(g))
+    evaluator = SubsetEvaluator(g, spec)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    feasible = isinstance(_outcome(exhaustive_search, g, spec, 1), SearchResult)
+    try:
+        mask, value, tested = optimize._feasible_start(evaluator, rng, g.n_nodes)
+    except InfeasibleSearchError:
+        assert not feasible
+        return
+    assert feasible
+    assert value is not None and value == evaluator.evaluate_mask(mask).value
+    assert tested in (1, 2)
 
 
 def test_anneal_single_node_graph_equals_walking_alone():
@@ -602,12 +623,19 @@ def test_a_proven_best_is_ranked_with_its_one_node_flips(search):
     assert [c.sorted_seeds for c in result.ranked[1:3]] == [("hub", "leaf0"), ("hub", "leaf1")]
 
 
-@pytest.mark.parametrize("spec", [BETA_ONE, BETA_OVER_N, CostSpec(mode="edge")], ids=["beta-1", "beta-2/n", "edge"])
-def test_a_proven_best_has_the_exhaustive_rank_1_seeds(spec):
-    # On this 18-node graph the proof fires under each cost. n4 and n12 lie
-    # in one source SCC, n4 first in node order: greedy must take n12, the
-    # smaller id, as rank_key does, to return exhaustive search's rank 1.
-    g = build_from_log(generate_log(20, 20, 3))
+@pytest.mark.parametrize(
+    "log,spec",
+    [((20, 20, 3), BETA_ONE), ((20, 20, 3), BETA_OVER_N), ((20, 20, 3), CostSpec(mode="edge")), ((18, 18, 18), BETA_OVER_N)],
+    ids=["beta-1", "beta-2/n", "edge", "tie-beta-2/n"],
+)
+def test_a_proven_best_has_the_exhaustive_rank_1_seeds(log, spec):
+    # On these graphs (18 and 17 nodes) the proof fires under each cost. On
+    # the first, n4 and n12 lie in one source SCC, n4 first in node order:
+    # greedy must take n12, the smaller id, as rank_key does, to return
+    # exhaustive search's rank 1. On the second, the sources n4 and n15 tie
+    # on gain and on score, n4 first in node order: greedy must take n15,
+    # the smaller id, first.
+    g = build_from_log(generate_log(*log))
     expected = exhaustive_search(g, spec).best
     for search in (anneal, evolve):
         result = search(g, spec)
