@@ -204,10 +204,10 @@ class SubsetEvaluator:
     through one scalar tail, ``_value`` (size tables, gates, penalties,
     finiteness).
     ``evaluate_block`` values many subsets from the closures that
-    ``subset_closures`` enumerates, adding the same weights in the same
-    order, through that tail over arrays. Constraints are compiled once
-    into mask predicates for all of these, and the gates, composed by min,
-    into one (``_gate``), whose degree a subset must reach ``_tau``.
+    ``subset_closures`` enumerates, with the same S, through that tail
+    over arrays. Constraints are compiled once into mask predicates for
+    all of these, and the gates, composed by min, into one (``_gate``),
+    whose degree a subset must reach ``_tau``.
     """
 
     def __init__(self, graph: Graph, spec: CostSpec):
@@ -241,7 +241,7 @@ class SubsetEvaluator:
         closure = 0
         for i in _bits(mask):
             closure |= self._reach[i]
-        (s,) = self._measure.soiled(_rows([closure], self._n_total))
+        (s,) = self._measure.soiled(_rows([closure], self._n_total)).tolist()
         n = mask.bit_count()
         value, mu = self._value(mask, n, s)
         return Score(value is not None, value, s, n, mu)
@@ -288,7 +288,7 @@ class SubsetEvaluator:
         negated = [s + n if s < n else s - n for s in steps]
         # take() gathers rows faster than fancy indexing does.
         covered = counts.take(rows, axis=0) > table.take(negated, axis=0)
-        return [self._value(m, m.bit_count(), s)[0] for m, s in zip(masks, self._measure.soiled(covered))]
+        return [self._value(m, m.bit_count(), s)[0] for m, s in zip(masks, self._measure.soiled(covered).tolist())]
 
     def _value(self, mask: int, n: int, s: float) -> tuple[float | None, float]:
         """The value of a mask of n seeds and soiled measure s (None where a
@@ -327,12 +327,10 @@ class SubsetEvaluator:
         those of ``evaluate_mask``. Raises ``ValueError`` as ``gated_cost``
         does for a non-finite defined score.
         """
-        soiled_w = np.zeros(len(masks))
-        for i, w in enumerate(self._measure.weights.tolist()):
-            # Ascending node order, as _Measure adds; adding 0.0 changes no sum.
-            soiled_w += np.where((closures >> i) & 1, w, 0.0)
+        # Row j, column u: bit u of closure j, as _rows unpacks masks.
+        packed = closures.astype("<i8").view(np.uint8).reshape(-1, 8)
+        s = self._measure.soiled(np.unpackbits(packed, axis=1, count=self._n_total, bitorder="little"))
         # _value over arrays.
-        s = soiled_w / self._measure.total
         defined = True if self._gate is None else self._gate(masks, sizes) >= self._tau
         alpha, size_term = map(np.array, self._size_tables)
         # Overflow to inf is reported below, as _value reports it.

@@ -3,8 +3,9 @@
 Node ids are plain string tokens. Node and edge weights are finite and
 strictly positive; at most one edge may join an ordered (source, target)
 pair. ``Graph`` is the only code that reads, checks and totals weights:
-per measure it keeps what each node adds when soiled and the finite total
-that S divides by.
+per measure it keeps what each node adds when soiled, as an exact integer
+count of one unit (``_units``), and the finite total that S divides by,
+the correctly rounded sum of the weights (``math.fsum``).
 Graphs are immutable once built; reachability is computed here, as bit masks.
 Node i is ``node_ids[i]``: bit i of a mask, column i of a row. ``_mask_of``,
 ``_ids_of``, ``_rows`` and ``_masks`` convert between ids, masks and rows.
@@ -55,6 +56,27 @@ def _add_to_total(total: float, w: float, what: str) -> float:
     return total
 
 
+def _exact_total(weights: Iterable[float], what: str) -> float:
+    """The sum of ``weights``, correctly rounded, which must be finite."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        raise GraphError(f"the {what} weight total is not finite") from None
+
+
+def _units(weights: Iterable[float]) -> tuple[list[int], int]:
+    """Each of ``weights`` as an integer count of 2^-K, and K.
+
+    Write each weight as p / 2^e and let K be the largest e: the weight is
+    p * 2^(K - e) units of 2^-K, so a sum of weights is exactly its sum of
+    units times 2^-K.
+    """
+    ratios = [w.as_integer_ratio() for w in weights]
+    # A float's ratio has a power-of-two denominator 2^e; e is its bit length - 1.
+    k = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    return [p << (k - d.bit_length() + 1) for p, d in ratios], k
+
+
 class Graph:
     """Immutable directed graph with positive node and edge weights.
 
@@ -63,7 +85,7 @@ class Graph:
     Self-loops, cycles, and disconnected graphs are all allowed.
     """
 
-    __slots__ = ("_node_w", "_edge_w", "_ids", "_index", "_succ", "_weights", "_totals", "_hash")
+    __slots__ = ("_node_w", "_edge_w", "_ids", "_index", "_succ", "_units", "_totals", "_hash")
 
     def __init__(self, nodes: Iterable[NodeSpec], edges: Iterable[EdgeSpec] = ()):
         # Records are checked one at a time, in order, and so are the running
@@ -87,7 +109,6 @@ class Graph:
         index = {v: i for i, v in enumerate(ids)}
         edge_w: dict[tuple[str, str], float] = {}
         succ: list[list[int]] = [[] for _ in ids]
-        out_w = [0.0] * len(ids)  # entry i: node i's out-edge total, in edge order
         running = 0.0
         for spec in edges:
             try:
@@ -103,21 +124,20 @@ class Graph:
             w = edge_w[(src, dst)] = _check_weight(w, what)
             running = _add_to_total(running, w, what)
             succ[index[src]].append(index[dst])
-            out_w[index[src]] += w
-        edge_total = 0.0
-        for w in out_w:
-            edge_total += w
-        if not math.isfinite(edge_total):
-            raise GraphError("the edge weight total is not finite")
+        edge_units, edge_k = _units(edge_w.values())
+        out_units = [0] * len(ids)  # entry i: the units of node i's out-edges
+        for (src, _), u in zip(edge_w, edge_units):
+            out_units[index[src]] += u
 
         self._node_w = node_w
         self._edge_w = edge_w
         self._ids = ids
         self._index = index
         self._succ = succ  # entry i: the indices of node i's successors
-        # Per measure, what each node adds when soiled, and their total in node order.
-        self._weights = {"node": tuple(node_w.values()), "edge": tuple(out_w)}
-        self._totals = {"node": node_total, "edge": edge_total}
+        # Per measure, what each node adds when soiled in units of 2^-K, and K;
+        # and the total weight.
+        self._units = {"node": _units(node_w.values()), "edge": (out_units, edge_k)}
+        self._totals = {"node": _exact_total(node_w.values(), "node"), "edge": _exact_total(edge_w.values(), "edge")}
         self._hash = None
 
     @property
@@ -252,9 +272,8 @@ def _masks(rows) -> list[int]:
 
 
 def total_weight(g: Graph, mode: str = "node") -> float:
-    """Total node weight (``mode="node"``) or edge weight (``"edge"``):
-    the denominator of S, bit for bit. It adds, in node order, each node's
-    weight or the total of its out-edges in edge order."""
+    """Total node weight (``mode="node"``) or edge weight (``"edge"``),
+    correctly rounded (``math.fsum``): the denominator of S, bit for bit."""
     if mode not in MEASURE_MODES:
         raise GraphError(f"unknown measure mode {mode!r}; expected one of {MEASURE_MODES}")
     if mode == "edge" and g.n_edges == 0:

@@ -10,37 +10,36 @@ two heuristics walk, they score the prefixes of a greedy max-coverage
 order over the source SCCs (``_greedy_prefixes``), which join the pool
 they rank. Where the walk cannot score every subset, and the cost has no
 penalty and alpha(n) >= 0, an exact upper bound on the score of each
-subset size (``_size_bounds``) may prove the best prefix optimal; the
-search then ranks it with its one-node flips and does not walk. The
-walks start from random subsets, or from the gates' composed predicate
-where those fail, so they report no feasible subset only where none
-exists. They go over int masks; their table is both their cache and,
-with the prefixes, the pool they rank, and they stop once it holds every
-nonempty subset. Annealing's restarts walk in lockstep over it: each
-step values the flips missing from it in one numpy pass over the
-per-node coverage counts each restart keeps current, with the measure
-and tail ``evaluate_mask`` uses. Where its schedule cannot fill the
-table, annealing cuts it to its contenders once it holds more than
-``TABLE_KEEP``, so its memory is bounded; exhaustive search cuts its
-table after every block. ``_result`` builds ``Score``s only for the
-contenders of the table it ranks. The two randomized searchers are
-heuristics; the test suite verifies them against the exhaustive result
-instead of assuming global optimality. All are deterministic for a fixed
-rng seed; annealing restarts draw independent streams derived from
-(seed, restart index).
+subset size (``_size_bounds``), with S as every score takes it, may
+prove the best prefix optimal; the search then ranks it with its
+one-node flips and does not walk. The walks start from random subsets,
+or from the gates' composed predicate where those fail, so they report
+no feasible subset only where none exists. They go over int masks; their
+table is both their cache and, with the prefixes, the pool they rank,
+and they stop once it holds every nonempty subset. Annealing's restarts
+walk in lockstep over it: each step values the flips missing from it in
+one numpy pass over the per-node coverage counts each restart keeps
+current, with the measure and tail ``evaluate_mask`` uses. Where its
+schedule cannot fill the table, annealing cuts it to its contenders once
+it holds more than ``TABLE_KEEP``, so its memory is bounded; exhaustive
+search cuts its table after every block. ``_result`` builds ``Score``s
+only for the contenders of the table it ranks. The two randomized
+searchers are heuristics; the test suite verifies them against the
+exhaustive result instead of assuming global optimality. All are
+deterministic for a fixed rng seed; annealing restarts draw independent
+streams derived from (seed, restart index).
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 
 import numpy as np
 
 from .cost import CostSpec, Score, SubsetEvaluator
 from .graphs import Graph, _bits, _masks
-from .taint import _units
 
 EXHAUSTIVE_NODE_CAP = 22
 # Subsets exhaustive search scores per numpy pass; a power of two. It bounds
@@ -51,10 +50,10 @@ EXHAUSTIVE_BLOCK_SIZE = 1 << 13
 # Subsets annealing's table may hold at the end of a temperature level
 # before it is cut to its ranking contenders, so it holds at most
 # TABLE_KEEP + restarts * steps per level plus the ranking's ties. With
-# the default schedule and rng seed 0, the golden sa-200-edge and
-# gated-73-sa walks score 79,827 and 43,667 subsets in 8,991 and 5,897
-# numpy passes; a table that forgets nothing scores 78,532 and 41,029
-# (8,983 and 5,706 passes), 2^12 80,680 and 44,788, and 1 85,494 and
+# the default schedule and rng seed 0, the golden sa-200-walk and
+# gated-73-sa walks score 63,954 and 43,667 subsets in 6,971 and 5,897
+# numpy passes; a table that forgets nothing scores 63,900 and 41,029
+# (6,971 and 5,706 passes), 2^12 64,104 and 44,788, and 1 85,207 and
 # 71,705 (9,000 and 8,986 passes), as the walks come back to subsets.
 TABLE_KEEP = 1 << 13
 
@@ -258,7 +257,7 @@ def _greedy_prefixes(evaluator) -> dict[int, float | None]:
     (None where a gate rules it out), as ``evaluate_mask`` scores it.
 
     Each step adds the source SCC representative (``_sources``) whose reach
-    soils the most weight not yet soiled, as ``_Measure.soiled`` sums it,
+    soils the most weight not yet soiled, in ``_Measure``'s exact units,
     the first in id order on ties, as ``rank_key`` breaks them, until none
     soils more. A source reaches all that any node it reaches does, and
     every node is reached from a source, so no other node gains more.
@@ -271,16 +270,16 @@ def _greedy_prefixes(evaluator) -> dict[int, float | None]:
     mask = 0
     prefixes: dict[int, float | None] = {}
     while left:
-        gains = evaluator._measure.soiled(rows[left] & unsoiled)
+        gains = evaluator._measure.weigh(rows[left] & unsoiled).tolist()
         gain = max(gains)
-        if not gain > 0.0:
+        if not gain:
             break
         pick = left[gains.index(gain)]
         unsoiled &= ~rows[pick]
         mask |= 1 << sources[pick]
         prefixes[mask] = evaluator.evaluate_mask(mask).value
         # A gain never grows as more is soiled.
-        left = [i for i, g in zip(left, gains) if g > 0.0 and i != pick]
+        left = [i for i, g in zip(left, gains) if g and i != pick]
     return prefixes
 
 
@@ -294,35 +293,23 @@ def _size_bounds(evaluator) -> list[float] | None:
     only source i reaches (i's private weight p_i) is reached by i alone,
     so k seeds miss at least the m - k smallest p_i. So they soil at most
     W(k) = min(T - the m - k smallest p_i, the min(k, m) largest reaches)
-    of the total weight T. W(k) is summed exactly, in the units of
-    ``_units``, and divided by the float total with one correctly rounded
-    division; where ``_Measure`` sums in order, W(k) is first multiplied
-    by 1 + N * 2^-52, more than an ordered sum of N weights rounds up.
-    With alpha >= 0, no step of ``_value`` decreases as S grows.
+    of the total weight T, all in ``_Measure``'s exact units. S grows with
+    the soiled weight, so ``_Measure.share`` of W(k) bounds it, and with
+    alpha >= 0 no step of ``_value`` decreases as S grows.
     """
     alpha, size_term = evaluator._size_tables
     if evaluator._penalties or min(alpha[1:]) < 0.0:
         return None
-    n = evaluator._n_total
     measure = evaluator._measure
-    units, exponent = _units(measure.weights.tolist())
     sources = evaluator._sources
     rows = evaluator._reach_rows[sources]
     private = rows & (rows.sum(axis=0) == 1)
-    reach = [sum(compress(units, row)) for row in rows.tolist()]
-    alone = [sum(compress(units, row)) for row in private.tolist()]
-    largest = list(accumulate(sorted(reach, reverse=True), initial=0))
-    smallest = list(accumulate(sorted(alone), initial=0))
-    m, total = len(sources), sum(units)
-    # S = W * 2^-exponent / (a / b).
-    a, b = measure.total.as_integer_ratio()
-    num, den = b, a << exponent
-    if not measure.exact:
-        num, den = num * ((1 << 52) + n), den << 52
+    largest = list(accumulate(sorted(measure.weigh(rows).tolist(), reverse=True), initial=0))
+    smallest = list(accumulate(sorted(measure.weigh(private).tolist()), initial=0))
+    m, total = len(sources), sum(measure.units.tolist())
+    covered = [min(total - smallest[max(m - k, 0)], largest[min(k, m)]) for k in range(1, evaluator._n_total + 1)]
     bounds = [math.nan]
-    for k in range(1, n + 1):
-        covered = min(total - smallest[max(m - k, 0)], largest[min(k, m)])
-        s = min(1.0, covered * num / den)
+    for k, s in enumerate(measure.share(np.array(covered, dtype=measure.units.dtype)).tolist(), start=1):
         value = alpha[k] * s * s
         value += size_term[k]
         bounds.append(value)

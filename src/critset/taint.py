@@ -7,13 +7,13 @@ node and edge exactly once because both collections are sets.
 
 ``soil()`` and ``cost.SubsetEvaluator`` share one soiled measure,
 ``_Measure``, so they agree bit for bit on every Python version. It only
-sums soiled weights: the per-node weights and their total, S's
-denominator, come from the graph.
+sums soiled weights: the per-node weights, in integer units, and their
+total, S's denominator, come from the graph.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -57,54 +57,48 @@ def propagate(g: Graph, nodes: Iterable[str]) -> SoiledReport:
     return SoiledReport(seeds, soiled, soiled_edges)
 
 
-def _units(weights: Sequence[float]) -> tuple[list[int], int]:
-    """Each of ``weights`` as an integer count of 2^-K, and K.
-
-    Write each weight as p / 2^e and let K be the largest e: the weight is
-    p * 2^(K - e) units of 2^-K, so a sum of weights is exactly its sum of
-    units times 2^-K.
-    """
-    ratios = [w.as_integer_ratio() for w in weights]
-    # A float's ratio has a power-of-two denominator 2^e; e is its bit length - 1.
-    k = max((d.bit_length() - 1 for _, d in ratios), default=0)
-    return [p << (k - d.bit_length() + 1) for p, d in ratios], k
-
-
-def _sums_exact(weights: Sequence[float]) -> bool:
-    """Whether every sum of positive ``weights``, over any subset and in any
-    order, is exact in float64.
-
-    Every partial sum is a multiple of 2^-K (``_units``), at most their
-    total count of them. A float64 holds such a sum exactly when that total
-    is below 2^53 and K <= 1022 (so no sum is subnormal), and then no
-    addition rounds.
-    """
-    units, k = _units(weights)
-    return k <= 1022 and sum(units) < 1 << 53
-
-
 class _Measure:
-    """The soiled measure of one graph under one mode. ``weights[u]`` is
-    what soiled node u adds, as the graph keeps it: its weight, or under
-    the edge measure the total of its out-edges in edge order. A soiled
-    weight is a matrix-vector product when every sum of the weights is
-    exact in float64 (``exact``), else an ordered sum in ascending node
-    order. ``total`` is ``total_weight(g, mode)``, the same weights added
-    in node order, so S is at most 1, and 1 when all is soiled."""
+    """The soiled measure S of one graph under one mode, the only place that
+    computes it: S = fsum(soiled weights) / fsum(all weights), bit for bit.
+
+    ``units[u]`` is what soiled node u adds in units of 2^-``exponent``, as
+    the graph keeps it: its weight, or under the edge measure the sum of
+    its out-edges'. So a subset's soiled weight U is an exact integer, the
+    same in any order, and fsum(soiled weights) is U * 2^-exponent rounded
+    once. ``total`` is ``total_weight(g, mode)``. S grows with U, and is 1
+    when all is soiled. U is an int64 where the total units are below 2^63
+    and the exponent at most 1022, so that no S is subnormal; else a Python
+    int, joined from int64 sums of the units' 31-bit limbs."""
 
     def __init__(self, g: Graph, mode: str):
         self.total = total_weight(g, mode)  # rejects an unknown mode, and the edge measure without edges
-        weights = g._weights[mode]
-        self.weights = np.array(weights, dtype=np.float64)
-        self.exact = _sums_exact(weights)
+        units, self.exponent = g._units[mode]
+        narrow = sum(units) < 1 << 63 and self.exponent <= 1022
+        self.units = np.array(units, dtype=np.int64 if narrow else object)
+        # Column j: bits 31j .. 31j + 30 of each unit; a column sums in int64
+        # below 2^63 for any graph of under 2^32 nodes.
+        width = 0 if narrow else -(-max(units).bit_length() // 31)
+        self._limbs = np.array([[u >> 31 * j & (1 << 31) - 1 for j in range(width)] for u in units], dtype=np.int64)
 
-    def soiled(self, covered: np.ndarray) -> list[float]:
-        """S of each row of the bool array ``covered`` (column u: node u soiled)."""
-        if self.exact:
-            weight = covered @ self.weights
-        else:
-            weight = np.add.accumulate(np.where(covered, self.weights, 0.0), axis=1)[:, -1]
-        return (weight / self.total).tolist()
+    def weigh(self, covered: np.ndarray) -> np.ndarray:
+        """U of each row of the 0/1 array ``covered`` (column u: node u soiled)."""
+        if self.units.dtype != object:
+            return covered @ self.units
+        sums = (covered @ self._limbs).tolist()
+        return np.array([sum(s << 31 * j for j, s in enumerate(row)) for row in sums], dtype=object)
+
+    def soiled(self, covered: np.ndarray) -> np.ndarray:
+        """S of each row of the 0/1 array ``covered``."""
+        return self.share(self.weigh(covered))
+
+    def share(self, weight: np.ndarray) -> np.ndarray:
+        """S of each soiled weight U of the array ``weight``, in units."""
+        if self.units.dtype == object:
+            # Python's int division is correctly rounded, subnormals included.
+            scale = 1 << self.exponent
+            return np.array([u / scale for u in weight.tolist()], dtype=np.float64) / self.total
+        # U < 2^63 rounds once to float64; scaling by 2^-exponent is then exact.
+        return np.ldexp(weight.astype(np.float64), -self.exponent) / self.total
 
 
 def soiled_measure(g: Graph, report: SoiledReport, mode: str = "node") -> float:
@@ -117,7 +111,7 @@ def soiled_measure(g: Graph, report: SoiledReport, mode: str = "node") -> float:
     unknown = sorted(v for v in report.soiled_nodes if not g.has_node(v))
     if unknown:
         raise ValueError(f"soiled node {unknown[0]!r} not in graph")
-    return _Measure(g, mode).soiled(_rows([_mask_of(g, report.soiled_nodes)], g.n_nodes))[0]
+    return _Measure(g, mode).soiled(_rows([_mask_of(g, report.soiled_nodes)], g.n_nodes)).tolist()[0]
 
 
 def soil(g: Graph, nodes: Iterable[str], mode: str = "node") -> tuple[SoiledReport, float, float]:

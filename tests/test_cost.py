@@ -21,10 +21,10 @@ from critset.cost import (
     parse_cost_config,
 )
 from critset.graphs import MEASURE_MODES, Graph, _bits, _mask_of
-from critset.ingest import build_from_log, generate_log
-from critset.taint import _sums_exact, propagate, soil
+from critset.optimize import _size_bounds
+from critset.taint import propagate, soil
 
-from .strategies import cost_specs, graphs, graphs_and_seeds, wide_graphs
+from .strategies import cost_specs, graphs, graphs_and_nested_seeds, graphs_and_seeds, wide_graphs
 
 SAME_COMPONENT_GATE = CostSpec(gates=(("same-component", 1.0),))
 
@@ -292,30 +292,66 @@ def test_evaluator_edge_mode_agrees(dyadic, mode, data):
     assert soil(g, seeds, mode)[1].hex() == ev.evaluate(seeds).soiled.hex()
 
 
-@given(st.sampled_from(MEASURE_MODES), graphs_and_seeds())
-@settings(max_examples=300)
-def test_evaluate_mask_soiled_is_the_ascending_loop(mode, case):
-    # The soiled measure, bit for bit, by evaluate_mask and by soil():
-    # propagate's soiled nodes in ascending node order, each adding its
-    # weight (under the edge measure its out-edge total), over the same
-    # loop's sum over every node, so that S is exactly 1 when every node is
-    # soiled. The weights are not dyadic, so these sums round and their
-    # order shows.
+def _fsum_s(g, seeds, mode):
+    """fsum of the soiled weights over fsum of all: the soiled nodes' weights,
+    or under the edge measure those of the edges whose source is soiled."""
+    soiled = propagate(g, seeds).soiled_nodes
+    if mode == "node":
+        return math.fsum(g.node_weight(v) for v in soiled) / math.fsum(g.node_weight(v) for v in g.node_ids)
+    return math.fsum(w for s, _, w in g.edges if s in soiled) / math.fsum(w for _, _, w in g.edges)
+
+
+def _soiled_by_every_path(g, mode, mask):
+    """S of ``mask`` by evaluate_mask, flip_values, evaluate_block and soil(),
+    as hex strings; the ungated basic cost at beta = 0 is S^2, which flip_values
+    and evaluate_block return in place of S."""
+    spec = CostSpec(beta=constant(0.0), mode=mode)
+    ev = SubsetEvaluator(g, spec)
+    by_score, by_flip, by_block = (route() for route in _scoring_routes(g, spec, mask))
+    s = by_score.soiled
+    assert by_flip[0] == by_block.tolist()[0] == s * s
+    return {s.hex(), soil(g, ev.seeds_of(mask), mode)[1].hex()}
+
+
+@given(st.sampled_from(MEASURE_MODES), st.booleans(), graphs_and_seeds())
+@settings(max_examples=300, deadline=None)
+def test_every_scoring_path_gives_s_as_fsum_over_fsum(mode, tiny, case):
+    # The weights are not dyadic, so sums in float64 round and their order
+    # shows; S is the correctly rounded soiled sum over the correctly
+    # rounded total, bit for bit, by every path, and exactly 1 where every
+    # node is soiled. Scaled by 2^-1000, a weight with over 22 fraction
+    # bits needs units of 2^-K with K > 1022, so U is a Python int.
     g, seeds = case
     assume(mode == "node" or g.n_edges)
-    out_w = dict.fromkeys(g.node_ids, 0.0)
-    for s, _, w in g.edges:
-        out_w[s] += w
-    soiled = propagate(g, seeds).soiled_nodes
-    expected = total = 0.0
-    for v in g.node_ids:
-        w = g.node_weight(v) if mode == "node" else out_w[v]
-        total += w
-        if v in soiled:
-            expected += w
-    ev = SubsetEvaluator(g, CostSpec(mode=mode))
-    assert ev.evaluate_mask(ev.mask_of(seeds)).soiled.hex() == (expected / total).hex()
-    assert soil(g, seeds, mode)[1].hex() == (expected / total).hex()
+    if tiny:
+        g = Graph([(v, g.node_weight(v) * 2.0**-1000) for v in g.node_ids], [(s, t, w * 2.0**-1000) for s, t, w in g.edges])
+    mask = _mask_of(g, seeds)
+    assert _soiled_by_every_path(g, mode, mask) == {_fsum_s(g, seeds, mode).hex()}
+    assert _soiled_by_every_path(g, mode, (1 << g.n_nodes) - 1) == {"0x1.0000000000000p+0"}
+
+
+@given(graphs_and_nested_seeds())
+@settings(max_examples=300)
+def test_edge_measure_is_monotone_under_inclusion(case):
+    # Acceptance criterion 7a checks the node measure.
+    g, a, b = case
+    assume(g.n_edges)
+    ev = SubsetEvaluator(g, CostSpec(mode="edge"))
+    assert ev.evaluate(a).soiled <= ev.evaluate(b).soiled
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 6, 8, 9])
+def test_s_of_twelfths_is_their_share(j):
+    # Twelve edges of weight 1/12, two of them leaving node a. Added one
+    # node's out-edges at a time, in node order, the total rounds up to
+    # 1 + 2^-52, and four of twelve read 0.33333333333333326. For these j,
+    # j copies of the float nearest 1/12 sum to the float nearest j/12.
+    sources = ["b1", "b2", "b3", "b4", "a", *(f"b{i}" for i in range(5, 11))]
+    sinks = [f"t{i}" for i in range(12)]
+    edges = [("a", "t10", 1 / 12), ("a", "t11", 1 / 12), *((b, t, 1 / 12) for b, t in zip(sources[:4] + sources[5:], sinks))]
+    g = Graph([*sources, *sinks], edges)
+    assert soil(g, [f"b{i}" for i in range(1, j + 1)], "edge")[1] == j / 12
+    assert soil(g, sources, "edge")[1] == 1.0
 
 
 @given(graphs_and_seeds())
@@ -371,8 +407,8 @@ def _walk_flips_side_by_side(g, spec, data):
         counts += reach_steps.take(made, axis=0)
 
 
-# Float weights take the ordered sum, multiples of 1/64 the matrix-vector
-# product; each kind gets about as many examples as the float kind alone had.
+# Float weights and multiples of 1/64; each kind gets about as many
+# examples as the float kind alone had.
 @given(st.booleans(), st.sampled_from(MEASURE_MODES), st.data())
 @settings(max_examples=600, deadline=None)
 def test_flip_scoring_equals_evaluate_mask(dyadic, mode, data):
@@ -384,7 +420,6 @@ def test_flip_scoring_equals_evaluate_mask(dyadic, mode, data):
         penalties=((0.7, "fuzzy-small:3"),),
         mode=mode,
     )
-    assert SubsetEvaluator(g, spec)._measure.exact or not dyadic
     _walk_flips_side_by_side(g, spec, data)
 
 
@@ -395,34 +430,36 @@ def test_flip_scoring_equals_evaluate_mask_past_64_nodes(dyadic, data):
     # score them as Python ints.
     g = data.draw(wide_graphs(dyadic=dyadic))
     spec = data.draw(cost_specs(g).filter(lambda spec: spec.gates))
-    assert SubsetEvaluator(g, spec)._measure.exact or not dyadic
     _walk_flips_side_by_side(g, spec, data)
 
 
 @pytest.mark.parametrize(
-    "weights, exact",
+    "weights, narrow",
     [
-        ([1.0] * 196, True),
-        ([k / 64 for k in range(1, 200)], True),
-        ([1.0, 0.1], False),
-        ([2.0**52, 2.0**52 - 1], True),
-        ([2.0**52, 2.0**52], False),
-        ([2.0**-1022, 2.0**-1022], True),
-        ([2.0**-1023], False),
+        ([2.0**63 - 2.0**11, 2047.0], True),  # 2^63 - 1 units of 1
+        ([2.0**63 - 2.0**11, 2048.0], False),  # 2^63 units of 1
+        ([2.0**-1022, 3 * 2.0**-1022], True),  # K = 1022
+        ([2.0**-1023, 3 * 2.0**-1023], False),  # K = 1023: a subnormal weight
+        ([1e-300, 1e300, 0.1], False),
+        ([0.1, 0.2, 0.3], True),
     ],
 )
-def test_sums_exact_boundary(weights, exact):
-    assert _sums_exact(weights) is exact
-    g = Graph([(f"v{i}", w) for i, w in enumerate(weights)])
-    assert SubsetEvaluator(g, CostSpec())._measure.exact is exact
-
-
-def test_ingested_edge_measure_is_not_exact():
-    # Ingested edge weights are count / total: the node measure is exact,
-    # the edge measure is not.
-    g = build_from_log(generate_log(200, 400, 1))
-    assert SubsetEvaluator(g, CostSpec())._measure.exact
-    assert not SubsetEvaluator(g, CostSpec(mode="edge"))._measure.exact
+def test_soiled_sums_are_int64_only_where_exact_and_normal(weights, narrow):
+    # Soiled weights sum in int64 where the total units are below 2^63 and
+    # K <= 1022, else in Python ints joined from int64 limb sums; either way
+    # every scoring path gives fsum over fsum, and the per-size bound of k
+    # seeds is the value of the k heaviest, which soil only themselves.
+    nodes = [f"v{i}" for i in range(len(weights))]
+    g = Graph(list(zip(nodes, weights)), [(v, v, w) for v, w in zip(nodes, weights)])
+    for mode in MEASURE_MODES:
+        ev = SubsetEvaluator(g, CostSpec(mode=mode))
+        assert (ev._measure.units.dtype == np.int64) is narrow
+        for mask in range(1, 1 << g.n_nodes):
+            assert _soiled_by_every_path(g, mode, mask) == {_fsum_s(g, ev.seeds_of(mask), mode).hex()}
+        heaviest = sorted(range(g.n_nodes), key=weights.__getitem__, reverse=True)
+        bounds = _size_bounds(ev)
+        for k in range(1, g.n_nodes + 1):
+            assert bounds[k].hex() == ev.evaluate_mask(sum(1 << v for v in heaviest[:k])).value.hex()
 
 
 def _scoring_routes(g, spec, mask):

@@ -15,26 +15,24 @@ graphs come from ``critset gen-log`` and ``critset ingest``:
   (16 nodes in weak components of 9, 3, 2 and 2), the benchmark's
   exhaustive-gated graph.
 
-Node weights are 1, and edge-18 and gated-73 have edge weights that are
-multiples of 1/64 or 1/32: every soiled sum there is exact, so annealing
-sums its flips' soiled weights in one matrix-vector product. The
-sa-200 edge weights, 0.0025 and 0.005, are not dyadic, so
-``sa-200-edge`` pins the ordered sum that rounds, in annealing's flips,
-and ``sa-200-ga-edge`` pins it in ``evaluate_mask``, which scores every
-individual of the genetic algorithm; the other ``ga`` cases sum exactly.
-The exhaustive-gated edge weights are multiples of 1/12, so
-``exhaustive-gated`` pins that ordered sum in exhaustive search's
-blocks, which ``edge-18-exhaustive`` sums exactly.
+Every case sums its soiled weights exactly, as integer counts of one
+unit, and rounds S once. The sa-200 edge weights, 0.0025 and 0.005, and
+the exhaustive-gated ones, multiples of 1/12, are not dyadic: there the
+exact sums show in the last bits: ``sa-200-edge``'s rank 1 has S =
+0.9825, and ``exhaustive-gated``'s has S = 0.3333333333333333 for 4 of 12
+equal weights.
+
 In ``gated-73-ga`` no member of the genetic algorithm's first population
 passes the gate, so individual 0 is replaced by a feasible start; the
 first random draw for it fails too, so the start is drawn from the gate's
 predicate: one of the 10 weak components and a size, then the nodes. So
 is each start of ``gated-73-sa``.
 
-On ``sa-200`` and ``sa-200-ga`` the per-size bound proves the best
-greedy prefix optimal, so neither search walks; under the edge measure
-it does not, and under a penalty it does not apply, so ``sa-200-edge``,
-``sa-200-ga-edge`` and the ``gated-73`` cases pin the walks.
+On ``sa-200``, ``sa-200-ga``, ``sa-200-edge`` and ``sa-200-ga-edge`` the
+per-size bound proves the best greedy prefix optimal, so no search walks.
+Under a penalty or a negative alpha it does not apply, so the
+``gated-73`` cases and ``sa-200-walk`` (sa-200-walk.cost: the edge
+measure, alpha = -0.25) pin the walks.
 """
 from pathlib import Path
 
@@ -50,6 +48,7 @@ CASES = {
     "sa-200": ("sa-200.graph", []),
     "gated-73-sa": ("gated-73.graph", ["--optimizer", "sa", "--measure", "edge", *GATED, "fuzzy-small:8:0.25"]),
     "sa-200-edge": ("sa-200.graph", ["--measure", "edge"]),
+    "sa-200-walk": ("sa-200.graph", ["--cost", str(GOLDEN / "sa-200-walk.cost")]),
     "edge-18-exhaustive": ("edge-18.graph", ["--measure", "edge", *GATED, "fuzzy-small:6:0.5"]),
     "exhaustive-gated": ("exhaustive-gated.graph", ["--measure", "edge", *GATED, "fuzzy-small:6:0.5"]),
     "sa-200-ga": ("sa-200.graph", ["--optimizer", "ga"]),
@@ -65,24 +64,24 @@ def test_analyze_report_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["sa-200-edge", "gated-73-sa"])
+@pytest.mark.parametrize("name", ["sa-200-walk", "gated-73-sa"])
 def test_sa_report_is_the_same_when_the_table_turns_over_every_level(name, capsys, monkeypatch):
     monkeypatch.setattr(optimize, "TABLE_KEEP", 1)
     test_analyze_report_matches_golden(name, capsys)
 
 
 def test_annealing_on_sa_200_ranks_a_bounded_table(capsys, monkeypatch):
-    # Under the edge measure the walk and the greedy prefixes score or meet
-    # 78,560 subsets; a table that kept them all would hand every one to
+    # On the sa-200-walk cost the walk and the greedy prefixes score or meet
+    # 63,936 subsets; a table that kept them all would hand every one to
     # _result.
     sizes = []
     result = optimize._result
     monkeypatch.setattr(optimize, "_result", lambda ev, values, *a: sizes.append(len(values)) or result(ev, values, *a))
-    test_analyze_report_matches_golden("sa-200-edge", capsys)
+    test_analyze_report_matches_golden("sa-200-walk", capsys)
     assert sizes and sizes[0] < 10_000
 
 
-@pytest.mark.parametrize("name,passes,scored", [("sa-200-edge", 8_991, 79_827), ("gated-73-sa", 5_897, 43_667)])
+@pytest.mark.parametrize("name,passes,scored", [("sa-200-walk", 6_971, 63_954), ("gated-73-sa", 5_897, 43_667)])
 def test_annealing_scoring_work_on_the_golden_walks(name, passes, scored, capsys, monkeypatch):
     # With the default schedule and rng seed 0: the numpy passes of
     # flip_values, the subsets they score, and the evaluate_mask calls the

@@ -131,8 +131,8 @@ def test_graph_errors_name_the_line_of_their_record(text, line_no, fragment):
 )
 @settings(max_examples=200)
 def test_parsed_totals_equal_sum_of_fractional_weights(counts, total, mode):
-    # Weights count/total, as ingest writes them; the stored totals add
-    # them left to right (sum() compensates from Python 3.12 on).
+    # Weights count/total, as ingest writes them; the stored totals are
+    # their correctly rounded sum.
     weights = [c / total for c in counts]
     names = [f"v{i}" for i in range(len(weights))]
     if mode == "node":
@@ -141,24 +141,14 @@ def test_parsed_totals_equal_sum_of_fractional_weights(counts, total, mode):
         # A chain v0 -> v1 -> ... plus a self-loop on the last node.
         lines = [f"node {v}" for v in names]
         lines += [f"edge {v} {u} {w!r}" for v, u, w in zip(names, [*names[1:], names[-1]], weights)]
-    assert total_weight(parse_graph("\n".join(lines)), mode).hex() == _left_to_right(weights).hex()
-
-
-def _left_to_right(weights):
-    total = 0.0
-    for w in weights:
-        total += w
-    return total
+    assert total_weight(parse_graph("\n".join(lines)), mode).hex() == math.fsum(weights).hex()
 
 
 def _measure_weights(g, mode):
-    """What each node adds to the ``mode`` measure, in node order."""
+    """The weights of the ``mode`` measure: of the nodes, or of the edges."""
     if mode == "node":
         return [g.node_weight(v) for v in g.node_ids]
-    out = dict.fromkeys(g.node_ids, 0.0)
-    for s, _, w in g.edges:
-        out[s] += w
-    return list(out.values())
+    return [w for _, _, w in g.edges]
 
 
 @given(st.one_of(graphs(), graphs(dyadic=True)), st.sampled_from(MEASURE_MODES))
@@ -168,14 +158,14 @@ def test_total_weight_is_the_denominator_of_s(g, mode):
         with pytest.raises(GraphError, match="edgeless"):
             total_weight(g, mode)
         return
-    expected = _left_to_right(_measure_weights(g, mode))
+    expected = math.fsum(_measure_weights(g, mode))
     assert total_weight(g, mode).hex() == expected.hex()
     assert SubsetEvaluator(g, CostSpec(mode=mode))._measure.total.hex() == expected.hex()
 
 
 @pytest.mark.parametrize(
     "graph, total",
-    [("sa-200", "0x1.fffffffffffe9p-1"), ("exhaustive-gated", "0x1.0000000000001p+0")],
+    [("sa-200", "0x1.0000000000000p+0"), ("exhaustive-gated", "0x1.0000000000000p+0")],
 )
 def test_golden_graph_edge_totals(graph, total):
     g = parse_graph((Path(__file__).parent / "golden" / f"{graph}.graph").read_text(encoding="utf-8"))
@@ -184,9 +174,10 @@ def test_golden_graph_edge_totals(graph, total):
 
 
 def test_node_total_adds_left_to_right():
-    # A compensated sum (Python 3.12's sum()) would give 0x1.0000000000001p+0.
+    # Added left to right, each 1e-16 is lost against 1.0; the correctly
+    # rounded sum keeps them: 1 + 2e-16 rounds to 1 + 2^-52.
     g = Graph([("a", 1.0), ("b", 1e-16), ("c", 1e-16)])
-    assert total_weight(g, "node").hex() == "0x1.0000000000000p+0"
+    assert total_weight(g, "node").hex() == "0x1.0000000000001p+0"
 
 
 def test_constructor_rejects_bad_ids():
@@ -213,8 +204,9 @@ def test_constructor_rejects_non_finite_weights(nodes, edges):
 
 def test_edge_total_in_node_order_must_be_finite():
     # Edge order: 2^1023 + 2^970 is a tie that rounds to even, 2^1023, and
-    # adding max - 2^1023 gives max. Node order: node a's out-edges add to
-    # max, and max + 2^970 is a tie that rounds to even, past max: infinity.
+    # adding max - 2^1023 gives max, so every running total is finite. The
+    # exact total, max + 2^970, is a tie that rounds to even, past max:
+    # infinity.
     big = sys.float_info.max - 2.0**1023
     with pytest.raises(GraphError, match="^the edge weight total is not finite$"):
         Graph(["a", "b"], [("a", "b", 2.0**1023), ("b", "a", 2.0**970), ("a", "a", big)])

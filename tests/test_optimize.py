@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from critset import optimize
 from critset.constraints import same_component
-from critset.cost import CoefficientFn, CostSpec, Score, SubsetEvaluator, gated_cost, over_n
-from critset.graphs import Graph
+from critset.cost import CoefficientFn, CostSpec, Score, SubsetEvaluator, constant, gated_cost, over_n
+from critset.graphs import Graph, parse_graph
 from critset.ingest import build_from_log, generate_log
 from critset.optimize import (
     AnnealingSchedule,
@@ -577,9 +578,9 @@ def test_evolve_stops_with_the_exact_ranking_once_every_subset_is_scored(demo, r
 @settings(max_examples=300, deadline=None)
 def test_size_bounds_hold_and_a_proven_best_is_the_optimum(data):
     # F_k bounds every defined k-subset's value, as exhaustive search scores
-    # it, under both measures, with or without gates; ordered sums round
-    # with float weights, and dyadic ones sum exactly. There is no bound
-    # under a penalty or where some alpha(k) < 0.
+    # it, under both measures, with or without gates, with float weights
+    # and dyadic ones; both sum exactly in units and round S once. There is
+    # no bound under a penalty or where some alpha(k) < 0.
     g = data.draw(st.one_of(graphs(max_nodes=8), graphs(max_nodes=8, dyadic=True), star_graphs(7)))
     spec = data.draw(cost_specs(g))
     for field, value in [
@@ -601,6 +602,16 @@ def test_size_bounds_hold_and_a_proven_best_is_the_optimum(data):
     best = optimize._proven_best(evaluator, optimize._greedy_prefixes(evaluator))
     if best is not None:
         assert ranked[0].score.value.hex() == evaluator.evaluate_mask(best).value.hex()
+
+
+@pytest.mark.parametrize("beta", [constant(1.0), over_n(2.0)], ids=["beta-1", "beta-2/n"])
+def test_the_proof_fires_on_sa_200_under_the_edge_measure(beta):
+    # Its edge weights, 0.0025 and 0.005, are not dyadic. The bound and the
+    # greedy prefixes take the same S of exact sums, so greedy's best meets
+    # the bound with no margin to cover rounding.
+    g = parse_graph((Path(__file__).parent / "golden" / "sa-200.graph").read_text(encoding="utf-8"))
+    evaluator = SubsetEvaluator(g, CostSpec(beta=beta, mode="edge"))
+    assert optimize._proven_best(evaluator, optimize._greedy_prefixes(evaluator)) is not None
 
 
 @given(wide_graphs(), st.sampled_from([BETA_ONE, BETA_OVER_N]), st.integers(0, 2**32))
