@@ -39,7 +39,7 @@ from itertools import accumulate
 import numpy as np
 
 from .cost import CostSpec, Score, SubsetEvaluator
-from .graphs import Graph, _bits, _masks
+from .graphs import Graph, _bits, _masks, _rows
 
 EXHAUSTIVE_NODE_CAP = 22
 # Subsets exhaustive search scores per numpy pass; a power of two. It bounds
@@ -477,9 +477,11 @@ def anneal(
     return _result(evaluator, {**prefixes, **table}, evaluations, rng_seed, "sa", top_k)
 
 
-def _tournament(rng, fitness, size):
-    # max keeps the first of equal fitnesses.
-    return max(rng.integers(0, len(fitness), size).tolist(), key=fitness.__getitem__)
+def _nonempty(rows, rng):
+    """Bool ``rows`` with one random column set in each empty row, in place."""
+    empty = np.flatnonzero(~rows.any(axis=1))
+    rows[empty, rng.integers(0, rows.shape[1], len(empty))] = True
+    return rows
 
 
 def evolve(
@@ -496,13 +498,17 @@ def evolve(
     ``anneal``; the generations cannot score every subset when
     2^N - 1 > ``population_size`` * (``generations`` + 1).
 
-    Individuals are int masks, as annealing's subsets are. Crossover and
-    mutation draw numpy 0/1 rows, one column per node, packed into masks.
-    Gate-undefined individuals get fitness below every defined score, so
-    they lose tournaments to any defined rival and are never kept as
-    elites over a defined one. If the whole first population is undefined,
-    individual 0 is replaced by a feasible start as annealing finds one.
-    Empty offspring are repaired by setting one random bit. Individuals
+    Individuals are int masks, as annealing's subsets are. Each generation
+    keeps its elites and breeds the rest from one set of draws, with one
+    numpy bool row per child: two tournaments' entrants, a crossover flag,
+    a uniform crossover pick row and a per-bit mutation row. The children
+    are packed into masks in one call. A tournament's winner is its
+    fittest entrant, the first drawn of equal fitnesses. Gate-undefined
+    individuals get fitness below every defined score, so they lose
+    tournaments to any defined rival and are never kept as elites over a
+    defined one. If the whole first population is undefined, individual 0
+    is replaced by a feasible start as annealing finds one. Empty rows are
+    repaired by setting one random bit (``_nonempty``). Individuals
     already in the table of scored subsets are looked up, not rescored,
     but ``evaluations`` counts every one assessed; the ranking is over
     the whole table and the prefixes. The search stops early once its
@@ -519,12 +525,7 @@ def evolve(
         return _proven_result(evaluator, prefixes, best, rng_seed, "ga", top_k)
     mutation_rate = params.mutation_rate if params.mutation_rate is not None else 1.0 / n
     rng = np.random.default_rng([rng_seed])
-
-    population = _masks(rng.integers(0, 2, (pop_size, n), dtype=np.uint8))
-    for i in range(pop_size):
-        if not population[i]:
-            # int(): 1 << np.int64(k) wraps to 0 from k = 64 on.
-            population[i] = 1 << int(rng.integers(0, n))
+    population = _masks(_nonempty(rng.integers(0, 2, (pop_size, n), dtype=np.uint8).view(bool), rng))
 
     # Every subset the walk scored so far: its value, or None where a gate
     # rules it out. It is both the walk's cache and, with the prefixes, the
@@ -538,10 +539,10 @@ def evolve(
         for mask in pop:
             if mask not in table:
                 table[mask] = evaluator.evaluate_mask(mask).value
-        return [-math.inf if table[mask] is None else table[mask] for mask in pop]
+        return np.array([-math.inf if table[mask] is None else table[mask] for mask in pop])
 
     fitness = assess(population)
-    if max(fitness) == -math.inf:
+    if fitness.max() == -math.inf:
         mask, value, used = _feasible_start(evaluator, rng, n)
         population[0] = mask
         fitness[0] = table[mask] = value
@@ -549,20 +550,18 @@ def evolve(
     for _ in range(params.generations):
         if len(table) == (1 << n) - 1:
             break  # every subset is scored: the ranking is exact
-        order = sorted(range(pop_size), key=lambda i: (-fitness[i], i))
-        elites = [i for i in order if fitness[i] > -math.inf][: params.elitism_count]
-        offspring = [population[i] for i in elites]
-        while len(offspring) < pop_size:
-            a = population[_tournament(rng, fitness, params.tournament_size)]
-            b = population[_tournament(rng, fitness, params.tournament_size)]
-            if rng.random() < params.crossover_rate:
-                # Uniform crossover: each bit from a where pick has it, else from b.
-                pick = _masks([rng.integers(0, 2, n, dtype=np.uint8)])[0]
-                a = a & pick | b & ~pick
-            child = a ^ _masks([rng.random(n) < mutation_rate])[0]
-            if not child:
-                child = 1 << int(rng.integers(0, n))
-            offspring.append(child)
-        population = offspring
+        # A stable sort and argmax keep the first of equal fitnesses first.
+        order = np.argsort(-fitness, kind="stable")
+        elites = order[fitness[order] > -math.inf][: params.elitism_count].tolist()
+        children = pop_size - len(elites)
+        entrants = rng.integers(0, pop_size, (children, 2, params.tournament_size))
+        winners = np.take_along_axis(entrants, fitness[entrants].argmax(axis=2)[..., None], axis=2)[..., 0]
+        crossed = rng.random(children) < params.crossover_rate
+        pick = rng.integers(0, 2, (children, n), dtype=np.uint8).view(bool)
+        mutated = rng.random((children, n)) < mutation_rate
+        rows = _rows(population, n)
+        # Uniform crossover: each bit from parent 0 where pick has it, else from parent 1.
+        offspring = np.where(crossed[:, None] & ~pick, rows[winners[:, 1]], rows[winners[:, 0]]) ^ mutated
+        population = [population[i] for i in elites] + _masks(_nonempty(offspring, rng))
         fitness = assess(population)
     return _result(evaluator, {**prefixes, **table}, evaluations, rng_seed, "ga", top_k)

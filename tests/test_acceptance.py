@@ -196,6 +196,16 @@ def test_criterion_6_holds_for_the_walks_alone(monkeypatch):
     test_criterion_6_heuristic_reliability()
 
 
+@pytest.mark.parametrize("spec", [CostSpec(beta=over_n(2.0)), GATED_SPEC], ids=["beta-2/n", "same-component"])
+def test_heuristic_reliability_under_the_other_demo_costs(spec):
+    # Criterion 6's 95/100 for both heuristics, under the demo's other two costs.
+    g = demo_graph()
+    oracle = exhaustive_search(g, spec).best.score.value
+    for search in (anneal, evolve):
+        hits = sum(abs(search(g, spec, rng_seed=seed).best.score.value - oracle) < 1e-9 for seed in range(1, 101))
+        assert hits >= 95, f"{search.__name__} matched oracle on only {hits}/100 seeds"
+
+
 # --- criterion 7: six randomized property families, 1000 cases each ----------
 
 

@@ -28,6 +28,11 @@ first random draw for it fails too, so the start is drawn from the gate's
 predicate: one of the 10 weak components and a size, then the nodes. So
 is each start of ``gated-73-sa``.
 
+A report is rewritten by running its case from the repository root and
+keeping stdout; for ``gated-73-ga``::
+
+    critset analyze --graph tests/golden/gated-73.graph --optimizer ga --gate same-component --penalty fuzzy-small:8:0.25 --format json > tests/golden/gated-73-ga.json
+
 On ``sa-200``, ``sa-200-ga``, ``sa-200-edge`` and ``sa-200-ga-edge`` the
 per-size bound proves the best greedy prefix optimal, so no search walks.
 Under a penalty or a negative alpha it does not apply, so the

@@ -33,6 +33,9 @@ BETA_ONE = CostSpec()
 BETA_OVER_N = CostSpec(beta=over_n(2.0))
 GATED = CostSpec(gates=(("same-component", 1.0),))
 FORBID_ALL = CostSpec(gates=(("forbid:1,2,3,4,5,6,7", 1.0),))
+# The golden gated-73-ga cost: a penalty, so no proof stops the search.
+GATED_73_GA = CostSpec(penalties=((0.25, "fuzzy-small:8"),), gates=(("same-component", 1.0),))
+GOLDEN = Path(__file__).parent / "golden"
 
 FAST_SCHEDULE = AnnealingSchedule(steps_per_temperature=5, minimum_temperature=0.05, restarts=2)
 FAST_GA = GaParams(population_size=8, generations=5)
@@ -574,6 +577,39 @@ def test_evolve_stops_with_the_exact_ranking_once_every_subset_is_scored(demo, r
     assert result.evaluations < 4_040
 
 
+def test_evolve_draws_each_generation_in_as_many_generator_calls_at_any_population_size(monkeypatch):
+    # On gated-73 under the gated-73-ga cost, 6 populations of 8 or 64 can
+    # neither fill the table of 2^73 - 1 subsets nor be proven, so all 5
+    # generations breed: the evaluations are the greedy prefixes, the 6
+    # populations and the 2 subsets the feasible start tests.
+    g = parse_graph((GOLDEN / "gated-73.graph").read_text(encoding="utf-8"))
+    default_rng = np.random.default_rng
+    calls = []
+
+    class Counted:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            draw = getattr(self._rng, name)
+            return lambda *args, **kwargs: calls.append(name) or draw(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    counts = []
+    for population_size in (8, 64):
+        calls.clear()
+        result = evolve(g, GATED_73_GA, GaParams(population_size=population_size, generations=5))
+        assert result.evaluations == len(optimize._greedy_prefixes(SubsetEvaluator(g, GATED_73_GA))) + 6 * population_size + 2
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_evolve_finds_the_gated_73_ga_rank_1_on_20_rng_seeds():
+    g = parse_graph((GOLDEN / "gated-73.graph").read_text(encoding="utf-8"))
+    found = [evolve(g, GATED_73_GA, rng_seed=rng_seed).best.score.value.hex() for rng_seed in range(20)]
+    assert found == [(1.2650121974103958).hex()] * 20
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_size_bounds_hold_and_a_proven_best_is_the_optimum(data):
@@ -609,7 +645,7 @@ def test_the_proof_fires_on_sa_200_under_the_edge_measure(beta):
     # Its edge weights, 0.0025 and 0.005, are not dyadic. The bound and the
     # greedy prefixes take the same S of exact sums, so greedy's best meets
     # the bound with no margin to cover rounding.
-    g = parse_graph((Path(__file__).parent / "golden" / "sa-200.graph").read_text(encoding="utf-8"))
+    g = parse_graph((GOLDEN / "sa-200.graph").read_text(encoding="utf-8"))
     evaluator = SubsetEvaluator(g, CostSpec(beta=beta, mode="edge"))
     assert optimize._proven_best(evaluator, optimize._greedy_prefixes(evaluator)) is not None
 
