@@ -10,6 +10,7 @@ which every optimizer proves before it exits with 2.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -311,6 +312,10 @@ def main(argv=None) -> int:
 
 
 def entry():
+    # Objects made at import live until exit. Frozen, they leave the
+    # collector's generations, so neither the collections during the run
+    # nor the final ones at exit traverse them.
+    gc.freeze()
     raise SystemExit(main(sys.argv[1:]))
 
 

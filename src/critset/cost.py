@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import constraints as _constraints
-from .graphs import MEASURE_MODES, Graph, _bits, _closure, _ids_of, _mask_of, _rows
+from .graphs import MEASURE_MODES, Graph, _bits, _ids_of, _mask_of, _reach_and_sources, _rows
 from .taint import _Measure, seed_set
 
 CONST = "const"
@@ -193,9 +193,10 @@ class SubsetEvaluator:
     """Scores seed subsets of one graph under one CostSpec.
 
     Subsets are encoded as bit masks over ``graph.node_ids`` (bit i is
-    node i), which keeps the optimizers' inner loops cheap; reachability
-    closures are precomputed per node. It keeps no scores: a search that
-    meets a subset again looks it up in its own table. ``evaluate``
+    node i), which keeps the optimizers' inner loops cheap. One SCC pass
+    over the graph gives each node's reach mask and the source SCC
+    representatives that the greedy order runs over. It keeps no scores: a
+    search that meets a subset again looks it up in its own table. ``evaluate``
     accepts plain node-id iterables and matches propagate + gated_cost
     done by hand; ``evaluate_mask`` scores one mask into a ``Score``.
     ``flip_values`` scores one-node changes of several subsets from the
@@ -223,7 +224,9 @@ class SubsetEvaluator:
         self._tau = max((tau for _, tau in spec.gates), default=0.0)
         self._penalties = tuple((eps, _constraints.resolve(cid).compile(graph)) for eps, cid in spec.penalties)
 
-        self._reach = [_closure(graph._succ, 1 << v) for v in range(self._n_total)]
+        # Row v of _reach: the nodes seed v soils. _sources: the node of
+        # smallest id of each source SCC, in node order.
+        self._reach, self._sources = _reach_and_sources(graph)
         self._measure = _Measure(graph, spec.mode)
 
     def mask_of(self, seeds: Iterable[str]) -> int:
@@ -250,18 +253,6 @@ class SubsetEvaluator:
     def _reach_rows(self) -> np.ndarray:
         """Bool array whose row v, column u says whether seed v soils node u."""
         return _rows(self._reach, self._n_total)
-
-    @cached_property
-    def _sources(self) -> list[int]:
-        """The node of smallest id of each source SCC, in node order: of each
-        strongly connected component that no other one reaches. Node u lies
-        in one when every node that reaches u is reached by u, and has its
-        smallest id when the first node in id order that reaches u is u."""
-        reach = self._reach_rows
-        source = ~(reach.T & ~reach).any(axis=1)
-        by_id = np.array(sorted(range(self._n_total), key=self.graph.node_ids.__getitem__))
-        first = by_id[reach[by_id].argmax(axis=0)] == np.arange(self._n_total)
-        return np.flatnonzero(source & first).tolist()
 
     @cached_property
     def _reach_steps(self) -> np.ndarray:

@@ -235,6 +235,69 @@ def _closure(adjacency: list[list[int]], starts: int) -> int:
     return seen
 
 
+def _reach_and_sources(g: Graph) -> tuple[list[int], list[int]]:
+    """The reach mask of each node (the nodes it reaches, itself included),
+    and the node of smallest id of each source SCC, in node order.
+
+    One iterative pass of Tarjan's algorithm (Tarjan 1972) finds the strongly
+    connected components (SCCs) in reverse topological order, so the
+    components an SCC's out-edges enter are done when it is: its reach is its
+    members ORed with theirs, one OR per condensation edge. A source SCC is
+    one that no condensation edge enters.
+    """
+    succ, ids = g._succ, g._ids
+    n = len(succ)
+    order = [-1] * n  # discovery number, -1 until visited
+    low = [0] * n
+    comp = [-1] * n  # SCC number, -1 while on the stack
+    reach: list[int] = []  # SCC k's reach mask
+    entered: list[bool] = []  # whether a condensation edge enters SCC k
+    smallest: list[int] = []  # SCC k's member of smallest id
+    stack: list[int] = []
+    count = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, todo = path[-1]
+            for u in todo:
+                if order[u] < 0:
+                    order[u] = low[u] = count
+                    count += 1
+                    stack.append(u)
+                    path.append((u, iter(succ[u])))
+                    break
+                if comp[u] < 0:
+                    low[v] = min(low[v], order[u])
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == order[v]:
+                    k = len(reach)
+                    members, mask, w = [], 0, -1
+                    while w != v:
+                        w = stack.pop()
+                        comp[w] = k
+                        members.append(w)
+                        mask |= 1 << w
+                    for w in members:
+                        for u in succ[w]:
+                            if comp[u] != k:
+                                mask |= reach[comp[u]]
+                                entered[comp[u]] = True
+                    reach.append(mask)
+                    entered.append(False)
+                    smallest.append(min(members, key=ids.__getitem__))
+    sources = sorted(w for k, w in enumerate(smallest) if not entered[k])
+    return [reach[comp[v]] for v in range(n)], sources
+
+
 def _bits(mask: int):
     """The indices of the set bits of ``mask``, in ascending order."""
     while mask:

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -307,8 +308,19 @@ def test_heuristics_find_the_best_single_seed_under_beta_over_n(optimizer, capsy
 
 
 def test_cli_entrypoint_subprocess(demo_graph_file, run_cli):
+    # python -m critset runs entry(), which freezes the collector before main().
     proc = run_cli("analyze", "--graph", demo_graph_file, "--top", "2")
     assert proc.stdout.splitlines()[1].split("\t")[1] == "1,4,6"
+    proc = run_cli("analyze", "--graph", demo_graph_file, "--gate", "forbid:1,2,3,4,5,6,7", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("critset: infeasible:")
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(demo_graph_file, capsys):
+    # Only entry() freezes: a library caller of main() keeps normal collection.
+    before = gc.get_freeze_count()
+    assert main(["analyze", "--graph", str(demo_graph_file), "--top", "2"]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_sa_and_ga_selectable(demo_graph_file, capsys):

@@ -2,6 +2,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,9 @@ from critset.graphs import (
     Graph,
     GraphError,
     GraphParseError,
+    _closure,
     _masks,
+    _reach_and_sources,
     _rows,
     parse_graph,
     serialize_graph,
@@ -349,3 +352,40 @@ def test_graph_equality_and_hash():
     assert g1 == g2
     assert hash(g1) == hash(g2)
     assert g1 != g3
+
+
+def _sources_by_reach_rows(g):
+    # The N x N rule the SCC pass replaced: node u lies in a source SCC when
+    # every node that reaches u is reached by u, and is its representative
+    # when the first node in id order that reaches u is u.
+    reach = _rows([_closure(g._succ, 1 << v) for v in range(g.n_nodes)], g.n_nodes)
+    source = ~(reach.T & ~reach).any(axis=1)
+    by_id = np.array(sorted(range(g.n_nodes), key=g.node_ids.__getitem__))
+    first = by_id[reach[by_id].argmax(axis=0)] == np.arange(g.n_nodes)
+    return np.flatnonzero(source & first).tolist()
+
+
+@given(st.one_of(graphs(), graphs(max_nodes=20, weighted=False)))
+@settings(max_examples=300)
+def test_scc_pass_matches_one_closure_per_node(g):
+    # Up to 20 nodes, ids v10 .. v19 sort before v2: id order is not node order.
+    reach, sources = _reach_and_sources(g)
+    assert reach == [_closure(g._succ, 1 << v) for v in range(g.n_nodes)]
+    assert sources == _sources_by_reach_rows(g)
+
+
+def test_scc_pass_does_not_recurse_on_a_long_chain():
+    # 3000 nested calls would pass the default recursion limit of 1000.
+    ids = [f"c{i}" for i in range(3000)]
+    g = Graph(ids, list(zip(ids, ids[1:])))
+    reach, sources = _reach_and_sources(g)
+    assert reach == [(1 << 3000) - (1 << v) for v in range(3000)]
+    assert sources == [0]
+
+
+def test_scc_pass_represents_a_source_scc_by_its_smallest_id():
+    # "n10" sorts before "n9", so the cycle's representative is node 1, not 0.
+    g = Graph(["n9", "n10", "n11"], [("n9", "n10"), ("n10", "n9"), ("n10", "n11")])
+    reach, sources = _reach_and_sources(g)
+    assert reach == [0b111, 0b111, 0b100]
+    assert sources == [1]
