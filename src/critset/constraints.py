@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import Graph, _mask_of, weak_components
+from .graphs import Graph, _mask_of, _not_a_string, weak_components
 
 CRISP = "crisp"
 FUZZY = "fuzzy"
@@ -137,7 +137,7 @@ def _check_known(g: Graph, ids: frozenset[str]) -> int:
 
 def require_nodes(required) -> ConstraintEvaluator:
     """1 iff every required node is seeded (vacuously 1 when empty)."""
-    wanted = frozenset(required)
+    wanted = frozenset(_not_a_string(required, "required", ConstraintError))
 
     def evaluate(g: Graph, seeds: frozenset[str]) -> float:
         _check_known(g, wanted)
@@ -148,7 +148,7 @@ def require_nodes(required) -> ConstraintEvaluator:
 
 def forbid_nodes(forbidden) -> ConstraintEvaluator:
     """1 iff no forbidden node is seeded."""
-    banned = frozenset(forbidden)
+    banned = frozenset(_not_a_string(forbidden, "forbidden", ConstraintError))
 
     def evaluate(g: Graph, seeds: frozenset[str]) -> float:
         _check_known(g, banned)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import constraints as _constraints
-from .graphs import MEASURE_MODES, Graph, _bits, _ids_of, _mask_of, _reach_and_sources, _rows
+from .graphs import MEASURE_MODES, Graph, _ids_of, _mask_of, _reach_and_sources, _reach_of, _rows
 from .taint import _Measure, seed_set
 
 CONST = "const"
@@ -193,22 +193,22 @@ class SubsetEvaluator:
     """Scores seed subsets of one graph under one CostSpec.
 
     Subsets are encoded as bit masks over ``graph.node_ids`` (bit i is
-    node i), which keeps the optimizers' inner loops cheap. One SCC pass
-    over the graph gives each node's reach mask and the source SCC
-    representatives that the greedy order runs over. It keeps no scores: a
-    search that meets a subset again looks it up in its own table. ``evaluate``
-    accepts plain node-id iterables and matches propagate + gated_cost
-    done by hand; ``evaluate_mask`` scores one mask into a ``Score``.
-    ``flip_values`` scores one-node changes of several subsets from the
-    per-node coverage counts their caller keeps current. Both take S from
-    ``taint._Measure``, the soiled measure ``soil()`` uses, and value it
-    through one scalar tail, ``_value`` (size tables, gates, penalties,
-    finiteness).
-    ``evaluate_block`` values many subsets from the closures that
-    ``subset_closures`` enumerates, with the same S, through that tail
-    over arrays. Constraints are compiled once into mask predicates for
-    all of these, and the gates, composed by min, into one (``_gate``),
-    whose degree a subset must reach ``_tau``.
+    node i), which keeps the optimizers' inner loops cheap. The graph's SCC
+    pass, run once per graph, gives each node's reach mask and the source
+    SCC representatives that the greedy order runs over; ``evaluate_mask``
+    takes a mask's closure from it as ``propagate`` does (``_reach_of``).
+    It keeps no scores: a search that meets a subset again looks it up in
+    its own table. ``evaluate`` accepts node-id iterables and matches
+    propagate + gated_cost done by hand; ``evaluate_mask`` scores one mask
+    into a ``Score``. ``flip_values`` scores one-node changes of several
+    subsets from the per-node coverage counts their caller keeps current.
+    Both take S from ``taint._Measure``, the soiled measure ``soil()``
+    uses, and value it through one scalar tail, ``_value`` (size tables,
+    gates, penalties, finiteness). ``evaluate_block`` values many subsets
+    from the closures that ``subset_closures`` enumerates, with the same
+    S, through that tail over arrays. Constraints are compiled once into
+    mask predicates for all of these, and the gates, composed by min, into
+    one (``_gate``), whose degree a subset must reach ``_tau``.
     """
 
     def __init__(self, graph: Graph, spec: CostSpec):
@@ -224,8 +224,7 @@ class SubsetEvaluator:
         self._tau = max((tau for _, tau in spec.gates), default=0.0)
         self._penalties = tuple((eps, _constraints.resolve(cid).compile(graph)) for eps, cid in spec.penalties)
 
-        # Row v of _reach: the nodes seed v soils. _sources: the node of
-        # smallest id of each source SCC, in node order.
+        # _reach[v]: the nodes seed v soils; _sources: the source SCCs' representatives.
         self._reach, self._sources = _reach_and_sources(graph)
         self._measure = _Measure(graph, spec.mode)
 
@@ -241,10 +240,7 @@ class SubsetEvaluator:
     def evaluate_mask(self, mask: int) -> Score:
         if mask <= 0 or mask >> self._n_total:
             raise ValueError(f"mask {mask:#x} is not a nonempty subset of the graph's nodes")
-        closure = 0
-        for i in _bits(mask):
-            closure |= self._reach[i]
-        (s,) = self._measure.soiled(_rows([closure], self._n_total)).tolist()
+        (s,) = self._measure.soiled(_rows([_reach_of(self.graph, mask)], self._n_total)).tolist()
         n = mask.bit_count()
         value, mu = self._value(mask, n, s)
         return Score(value is not None, value, s, n, mu)

@@ -6,7 +6,9 @@ pair. ``Graph`` is the only code that reads, checks and totals weights:
 per measure it keeps what each node adds when soiled, as an exact integer
 count of one unit (``_units``), and the finite total that S divides by,
 the correctly rounded sum of the weights (``math.fsum``).
-Graphs are immutable once built; reachability is computed here, as bit masks.
+Graphs are immutable once built. Reachability, as bit masks, comes from one
+iterative SCC pass (``_scc_pass``), run at most once per graph over its edges
+for the reach masks and once over their undirected view for the weak components.
 Node i is ``node_ids[i]``: bit i of a mask, column i of a row. ``_mask_of``,
 ``_ids_of``, ``_rows`` and ``_masks`` convert between ids, masks and rows.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -35,6 +36,13 @@ class GraphParseError(GraphError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def _not_a_string(values, name: str, error=GraphError):
+    """``values``, refused if a string: that would iterate as its characters."""
+    if isinstance(values, str):
+        raise error(f"{name} must be an iterable, not the string {values!r}")
+    return values
 
 
 def _check_weight(value, what: str) -> float:
@@ -85,14 +93,14 @@ class Graph:
     Self-loops, cycles, and disconnected graphs are all allowed.
     """
 
-    __slots__ = ("_node_w", "_edge_w", "_ids", "_index", "_succ", "_units", "_totals", "_hash")
+    __slots__ = ("_node_w", "_edge_w", "_ids", "_index", "_succ", "_units", "_totals", "_scc", "_partition")
 
     def __init__(self, nodes: Iterable[NodeSpec], edges: Iterable[EdgeSpec] = ()):
         # Records are checked one at a time, in order, and so are the running
         # totals: parse_graph names the line of the record being read.
         node_w: dict[str, float] = {}
         node_total = 0.0
-        for spec in nodes:
+        for spec in _not_a_string(nodes, "nodes"):
             try:
                 node_id, w = (spec, 1.0) if isinstance(spec, str) else spec
             except (TypeError, ValueError):
@@ -110,8 +118,10 @@ class Graph:
         edge_w: dict[tuple[str, str], float] = {}
         succ: list[list[int]] = [[] for _ in ids]
         running = 0.0
-        for spec in edges:
+        for spec in _not_a_string(edges, "edges"):
             try:
+                if isinstance(spec, str):  # it would unpack into its characters
+                    raise ValueError
                 src, dst, w = (*spec, 1.0) if len(spec) == 2 else spec
             except (TypeError, ValueError):
                 raise GraphError(f"malformed edge spec {spec!r}: expected (src, dst) or (src, dst, weight)") from None
@@ -138,7 +148,8 @@ class Graph:
         # and the total weight.
         self._units = {"node": _units(node_w.values()), "edge": (out_units, edge_k)}
         self._totals = {"node": _exact_total(node_w.values(), "node"), "edge": _exact_total(edge_w.values(), "edge")}
-        self._hash = None
+        # Filled on first use and kept here: indexed by node order, which __eq__ ignores.
+        self._scc = self._partition = None
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -186,9 +197,7 @@ class Graph:
         return self._node_w == other._node_w and self._edge_w == other._edge_w
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((frozenset(self._node_w.items()), frozenset(self._edge_w.items())))
-        return self._hash
+        return hash((frozenset(self._node_w.items()), frozenset(self._edge_w.items())))
 
     def __repr__(self) -> str:
         return f"Graph({self.n_nodes} nodes, {self.n_edges} edges)"
@@ -202,57 +211,54 @@ class ComponentPartition:
     component_of: dict[str, int]
 
 
-@lru_cache(maxsize=128)
 def weak_components(g: Graph) -> ComponentPartition:
-    """Partition nodes by connectivity in the undirected view of ``g``."""
-    neighbors = [list(ts) for ts in g._succ]
-    for i, ts in enumerate(g._succ):
-        for j in ts:
-            neighbors[j].append(i)
-
-    components: list[frozenset[str]] = []
-    seen = 0
-    for i in range(g.n_nodes):
-        if not seen >> i & 1:
-            component = _closure(neighbors, 1 << i)
-            seen |= component
-            components.append(_ids_of(g, component))
-    return ComponentPartition(tuple(components), {v: k for k, c in enumerate(components) for v in c})
-
-
-def _closure(adjacency: list[list[int]], starts: int) -> int:
-    """Bit mask of the indices reachable along ``adjacency`` from those of
-    the mask ``starts``, the starts included."""
-    stack = list(_bits(starts))
-    seen = starts
-    while stack:
-        v = stack.pop()
-        for u in adjacency[v]:
-            bit = 1 << u
-            if not seen & bit:
-                seen |= bit
-                stack.append(u)
-    return seen
+    """Partition nodes by connectivity in the undirected view of ``g``, in
+    the order of their first nodes: the SCCs of the undirected adjacency."""
+    if g._partition is None:
+        neighbors = [list(ts) for ts in g._succ]
+        for src, dst in g._edge_w:
+            neighbors[g._index[dst]].append(g._index[src])
+        comp, members, _ = _scc_pass(neighbors)
+        g._partition = ComponentPartition(tuple(_ids_of(g, m) for m in members), dict(zip(g._ids, comp)))
+    return g._partition
 
 
 def _reach_and_sources(g: Graph) -> tuple[list[int], list[int]]:
     """The reach mask of each node (the nodes it reaches, itself included),
-    and the node of smallest id of each source SCC, in node order.
+    and the node of smallest id of each source SCC (one no condensation edge
+    enters), in node order. Kept on ``g``, so the lists are not to be changed."""
+    if g._scc is None:
+        comp, reach, entered = _scc_pass(g._succ)
+        # Assigned in descending id order, the last member kept is the smallest.
+        smallest = {comp[v]: v for v in sorted(range(len(comp)), key=g._ids.__getitem__, reverse=True)}
+        g._scc = [reach[k] for k in comp], sorted(v for k, v in smallest.items() if not entered[k])
+    return g._scc
 
-    One iterative pass of Tarjan's algorithm (Tarjan 1972) finds the strongly
-    connected components (SCCs) in reverse topological order, so the
-    components an SCC's out-edges enter are done when it is: its reach is its
-    members ORed with theirs, one OR per condensation edge. A source SCC is
-    one that no condensation edge enters.
+
+def _reach_of(g: Graph, seeds: int) -> int:
+    """The closure of the seed mask ``seeds``: the OR of its nodes' reach masks."""
+    reach = _reach_and_sources(g)[0]
+    closure = 0
+    for i in _bits(seeds):
+        closure |= reach[i]
+    return closure
+
+
+def _scc_pass(adjacency: list[list[int]]) -> tuple[list[int], list[int], list[bool]]:
+    """Per node of the digraph whose node i has the successors
+    ``adjacency[i]``, its strongly connected component (SCC), numbered in
+    the order done; per SCC, its reach mask and whether a condensation edge
+    enters it. One iterative pass of Tarjan's algorithm (Tarjan 1972),
+    searching from nodes 0, 1, ... in turn, does the SCCs in reverse
+    topological order: those an SCC's out-edges enter are done before it,
+    so its reach is its members ORed with theirs, one OR per condensation edge.
     """
-    succ, ids = g._succ, g._ids
-    n = len(succ)
+    n = len(adjacency)
     order = [-1] * n  # discovery number, -1 until visited
     low = [0] * n
     comp = [-1] * n  # SCC number, -1 while on the stack
     reach: list[int] = []  # SCC k's reach mask
     entered: list[bool] = []  # whether a condensation edge enters SCC k
-    smallest: list[int] = []  # SCC k's member of smallest id
     stack: list[int] = []
     count = 0
     for root in range(n):
@@ -261,7 +267,7 @@ def _reach_and_sources(g: Graph) -> tuple[list[int], list[int]]:
         order[root] = low[root] = count
         count += 1
         stack.append(root)
-        path = [(root, iter(succ[root]))]
+        path = [(root, iter(adjacency[root]))]
         while path:
             v, todo = path[-1]
             for u in todo:
@@ -269,7 +275,7 @@ def _reach_and_sources(g: Graph) -> tuple[list[int], list[int]]:
                     order[u] = low[u] = count
                     count += 1
                     stack.append(u)
-                    path.append((u, iter(succ[u])))
+                    path.append((u, iter(adjacency[u])))
                     break
                 if comp[u] < 0:
                     low[v] = min(low[v], order[u])
@@ -280,22 +286,19 @@ def _reach_and_sources(g: Graph) -> tuple[list[int], list[int]]:
                     low[parent] = min(low[parent], low[v])
                 if low[v] == order[v]:
                     k = len(reach)
-                    members, mask, w = [], 0, -1
+                    mask, w = 0, -1
                     while w != v:
                         w = stack.pop()
                         comp[w] = k
-                        members.append(w)
                         mask |= 1 << w
-                    for w in members:
-                        for u in succ[w]:
+                    for w in _bits(mask):
+                        for u in adjacency[w]:
                             if comp[u] != k:
                                 mask |= reach[comp[u]]
                                 entered[comp[u]] = True
                     reach.append(mask)
                     entered.append(False)
-                    smallest.append(min(members, key=ids.__getitem__))
-    sources = sorted(w for k, w in enumerate(smallest) if not entered[k])
-    return [reach[comp[v]] for v in range(n)], sources
+    return comp, reach, entered
 
 
 def _bits(mask: int):

@@ -215,8 +215,6 @@ def exhaustive_search(
             table = _contenders(table, top_k)
             value, fewer = min((v, -m.bit_count()) for m, v in table.items())
             cut = (value, -fewer)
-    if not table:
-        raise InfeasibleSearchError("every subset is gated out; no defined candidate exists")
     return _result(evaluator, table, (1 << n) - 1, rng_seed, "exhaustive", top_k)
 
 

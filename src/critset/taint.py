@@ -5,10 +5,11 @@ soiled when its source node is soiled, so an edge leaving a corrupt element
 carries the corruption regardless of where it points. Cycles contribute each
 node and edge exactly once because both collections are sets.
 
-``soil()`` and ``cost.SubsetEvaluator`` share one soiled measure,
-``_Measure``, so they agree bit for bit on every Python version. It only
-sums soiled weights: the per-node weights, in integer units, and their
-total, S's denominator, come from the graph.
+``soil()`` and ``cost.SubsetEvaluator`` share the closure of a seed set,
+the OR of the graph's reach masks (``graphs._reach_of``), and one soiled
+measure, ``_Measure``, so they agree bit for bit on every Python version.
+It only sums soiled weights: the per-node weights, in integer units, and
+their total, S's denominator, come from the graph.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, _closure, _ids_of, _mask_of, _rows, total_weight
+from .graphs import Graph, _ids_of, _mask_of, _not_a_string, _reach_of, _rows, total_weight
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class SoiledReport:
 
 def seed_set(g: Graph, nodes: Iterable[str]) -> frozenset[str]:
     """Validate ``nodes`` as a seed set for ``g``: nonempty, all present."""
-    seeds = frozenset(nodes)
+    seeds = frozenset(_not_a_string(nodes, "nodes", ValueError))
     if not seeds:
         raise ValueError("seed set must be nonempty")
     for v in seeds:
@@ -52,7 +53,7 @@ def propagate(g: Graph, nodes: Iterable[str]) -> SoiledReport:
     appears at most once.
     """
     seeds = seed_set(g, nodes)
-    soiled = _ids_of(g, _closure(g._succ, _mask_of(g, seeds)))
+    soiled = _ids_of(g, _reach_of(g, _mask_of(g, seeds)))
     soiled_edges = frozenset((s, t) for s, t, _ in g.edges if s in soiled)
     return SoiledReport(seeds, soiled, soiled_edges)
 

@@ -6,6 +6,7 @@ import pytest
 
 from critset.cli import main, render_tables, result_to_dict
 from critset.cost import CostSpec, over_n
+from critset.graphs import Graph, serialize_graph, weak_components
 from critset.optimize import exhaustive_search
 
 
@@ -314,6 +315,27 @@ def test_cli_entrypoint_subprocess(demo_graph_file, run_cli):
     proc = run_cli("analyze", "--graph", demo_graph_file, "--gate", "forbid:1,2,3,4,5,6,7", expect=2)
     assert proc.stdout == ""
     assert proc.stderr.startswith("critset: infeasible:")
+
+
+def test_an_equal_graph_in_another_node_order_does_not_change_a_later_run(tmp_path, capsys, run_cli):
+    # v0 -> v1, v2 -> v3, ..., v26 -> v27: 16 weak components of 30 nodes.
+    # Equal graphs whatever their node order, but a gated run draws its
+    # starts from the components, listed in node order.
+    ids = [f"v{i}" for i in range(30)]
+    edges = list(zip(ids[:28:2], ids[1:28:2]))
+    a, b = Graph(ids, edges), Graph(ids[::-1], edges)
+    assert a == b
+    assert weak_components(a).components[0] == {"v0", "v1"}
+    assert weak_components(b).components[0] == {"v29"}
+    args = ["analyze", "--optimizer", "sa", "--gate", "same-component", "--rng-seed", "3", "--format", "json"]
+    for name, g in (("a", a), ("b", b)):
+        (tmp_path / f"{name}.graph").write_text(serialize_graph(g), encoding="utf-8")
+    assert main([*args, "--graph", str(tmp_path / "a.graph")]) == 0
+    capsys.readouterr()
+    assert main([*args, "--graph", str(tmp_path / "b.graph")]) == 0
+    after_a = capsys.readouterr().out
+    # A new process has analysed no other graph.
+    assert after_a == run_cli(*args, "--graph", tmp_path / "b.graph").stdout
 
 
 def test_main_in_process_leaves_the_collector_unfrozen(demo_graph_file, capsys):

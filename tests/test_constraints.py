@@ -68,6 +68,13 @@ def test_cardinality_bad_bounds(lo, hi):
         cardinality_between(lo, hi)
 
 
+@pytest.mark.parametrize("make, name", [(require_nodes, "required"), (forbid_nodes, "forbidden")])
+def test_node_constraints_reject_a_string(make, name):
+    # Iterated, "16" would name the nodes 1 and 6.
+    with pytest.raises(ConstraintError, match=f"{name} must be an iterable, not the string '16'"):
+        make("16")
+
+
 def test_require_and_forbid(demo):
     seeds = frozenset({"1", "6"})
     assert require_nodes({"1"}).evaluate(demo, seeds) == 1.0

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critset import graphs as graphs_module
 from critset.cost import CostSpec, SubsetEvaluator
 from critset.graphs import (
     MEASURE_MODES,
     Graph,
     GraphError,
     GraphParseError,
-    _closure,
+    _mask_of,
     _masks,
     _reach_and_sources,
     _rows,
@@ -22,8 +23,10 @@ from critset.graphs import (
     total_weight,
     weak_components,
 )
+from critset.taint import propagate, soil
 
 from .strategies import graphs
+from .test_taint import fixpoint_closure
 
 
 def test_minimal_self_loop():
@@ -221,6 +224,11 @@ def test_edge_total_in_node_order_must_be_finite():
         (["a", "b"], [("a",)], "malformed edge spec ('a',)"),
         ([5], [], "malformed node spec 5"),
         ([("a", "x")], [], "non-numeric weight 'x' on node 'a'"),
+        # Iterated, a string gives its characters: "ab" would be the edge a -> b.
+        ("abc", [], "nodes must be an iterable, not the string 'abc'"),
+        (["a", "b"], "ab", "edges must be an iterable, not the string 'ab'"),
+        (["a", "b"], ["ab"], "malformed edge spec 'ab'"),
+        (["a", "b", "c"], ["abc"], "malformed edge spec 'abc'"),
     ],
 )
 def test_constructor_rejects_malformed_specs(nodes, edges, fragment):
@@ -354,11 +362,16 @@ def test_graph_equality_and_hash():
     assert g1 != g3
 
 
+def _reach_by_fixpoint(g):
+    # Independent oracle: each node's closure by repeated single-step expansion.
+    return [_mask_of(g, fixpoint_closure(g, {v})) for v in g.node_ids]
+
+
 def _sources_by_reach_rows(g):
     # The N x N rule the SCC pass replaced: node u lies in a source SCC when
     # every node that reaches u is reached by u, and is its representative
     # when the first node in id order that reaches u is u.
-    reach = _rows([_closure(g._succ, 1 << v) for v in range(g.n_nodes)], g.n_nodes)
+    reach = _rows(_reach_by_fixpoint(g), g.n_nodes)
     source = ~(reach.T & ~reach).any(axis=1)
     by_id = np.array(sorted(range(g.n_nodes), key=g.node_ids.__getitem__))
     first = by_id[reach[by_id].argmax(axis=0)] == np.arange(g.n_nodes)
@@ -370,8 +383,33 @@ def _sources_by_reach_rows(g):
 def test_scc_pass_matches_one_closure_per_node(g):
     # Up to 20 nodes, ids v10 .. v19 sort before v2: id order is not node order.
     reach, sources = _reach_and_sources(g)
-    assert reach == [_closure(g._succ, 1 << v) for v in range(g.n_nodes)]
+    assert reach == _reach_by_fixpoint(g)
     assert sources == _sources_by_reach_rows(g)
+
+
+def test_a_graph_runs_each_scc_pass_once(monkeypatch):
+    passes = []
+    run = graphs_module._scc_pass
+    monkeypatch.setattr(graphs_module, "_scc_pass", lambda adjacency: passes.append(adjacency) or run(adjacency))
+    g = Graph(["x", "y", "z"], [("x", "y")])
+    first = _reach_and_sources(g)
+    SubsetEvaluator(g, CostSpec(gates=(("same-component", 1.0),)))
+    propagate(g, ["x"])
+    soil(g, ["z"])
+    assert _reach_and_sources(g) is first
+    assert weak_components(g) is weak_components(g)
+    # One pass over the edges, one over their undirected view.
+    assert len(passes) == 2
+
+
+def test_equal_graphs_in_another_node_order_get_their_own_masks():
+    a = Graph(["x", "y", "z"], [("x", "y")])
+    b = Graph(["z", "y", "x"], [("x", "y")])
+    assert a == b
+    assert _reach_and_sources(a) == ([0b011, 0b010, 0b100], [0, 2])
+    assert _reach_and_sources(b) == ([0b001, 0b010, 0b110], [0, 2])
+    assert weak_components(a).components == (frozenset({"x", "y"}), frozenset({"z"}))
+    assert weak_components(b).components == (frozenset({"z"}), frozenset({"y", "x"}))
 
 
 def test_scc_pass_does_not_recurse_on_a_long_chain():

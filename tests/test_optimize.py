@@ -356,7 +356,7 @@ def _brute_force_search(g, spec, top_k):
     # Reference: evaluate_mask on every mask, all defined ones ranked by rank_key.
     evaluator, seen = _all_defined(g, spec)
     if not seen:
-        raise InfeasibleSearchError("every subset is gated out; no defined candidate exists")
+        raise InfeasibleSearchError("no gate-feasible candidate was found")
     ranked = _full_sort_ranking(evaluator, seen, top_k)
     return SearchResult(ranked[0], ranked, (1 << g.n_nodes) - 1, 0, "exhaustive")
 

@@ -74,6 +74,9 @@ def test_seed_validation():
         seed_set(g, ["z"])
     with pytest.raises(ValueError):
         propagate(g, set())
+    # Iterated, "ab" would seed the nodes a and b.
+    with pytest.raises(ValueError, match="^nodes must be an iterable, not the string 'ab'$"):
+        soil(g, "ab")
 
 
 def test_report_n_is_seed_count(demo):
