@@ -268,7 +268,7 @@ def _greedy_prefixes(evaluator) -> dict[int, float | None]:
     mask = 0
     prefixes: dict[int, float | None] = {}
     while left:
-        gains = evaluator._measure.weigh(rows[left] & unsoiled).tolist()
+        gains = evaluator._measure.weigh(rows[left] & unsoiled)
         gain = max(gains)
         if not gain:
             break
@@ -302,12 +302,12 @@ def _size_bounds(evaluator) -> list[float] | None:
     sources = evaluator._sources
     rows = evaluator._reach_rows[sources]
     private = rows & (rows.sum(axis=0) == 1)
-    largest = list(accumulate(sorted(measure.weigh(rows).tolist(), reverse=True), initial=0))
-    smallest = list(accumulate(sorted(measure.weigh(private).tolist()), initial=0))
-    m, total = len(sources), sum(measure.units.tolist())
+    largest = list(accumulate(sorted(measure.weigh(rows), reverse=True), initial=0))
+    smallest = list(accumulate(sorted(measure.weigh(private)), initial=0))
+    m, total = len(sources), sum(measure.units)
     covered = [min(total - smallest[max(m - k, 0)], largest[min(k, m)]) for k in range(1, evaluator._n_total + 1)]
     bounds = [math.nan]
-    for k, s in enumerate(measure.share(np.array(covered, dtype=measure.units.dtype)).tolist(), start=1):
+    for k, s in enumerate(measure.share(covered), start=1):
         value = alpha[k] * s * s
         value += size_term[k]
         bounds.append(value)

@@ -8,8 +8,9 @@ node and edge exactly once because both collections are sets.
 ``soil()`` and ``cost.SubsetEvaluator`` share the closure of a seed set,
 the OR of the graph's reach masks (``graphs._reach_of``), and one soiled
 measure, ``_Measure``, so they agree bit for bit on every Python version.
-It only sums soiled weights: the per-node weights, in integer units, and
-their total, S's denominator, come from the graph.
+It only sums soiled weights, in one float64 product over the limbs of
+integer units, exact in any order; the per-node units and their total,
+S's denominator, come from the graph.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, _ids_of, _mask_of, _not_a_string, _reach_of, _rows, total_weight
+from .graphs import Graph, GraphError, _ids_of, _mask_of, _not_a_string, _reach_of, _rows, total_weight
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def propagate(g: Graph, nodes: Iterable[str]) -> SoiledReport:
     """
     seeds = seed_set(g, nodes)
     soiled = _ids_of(g, _reach_of(g, _mask_of(g, seeds)))
-    soiled_edges = frozenset((s, t) for s, t, _ in g.edges if s in soiled)
+    soiled_edges = frozenset(e for e in g._edge_w if e[0] in soiled)
     return SoiledReport(seeds, soiled, soiled_edges)
 
 
@@ -67,39 +68,40 @@ class _Measure:
     its out-edges'. So a subset's soiled weight U is an exact integer, the
     same in any order, and fsum(soiled weights) is U * 2^-exponent rounded
     once. ``total`` is ``total_weight(g, mode)``. S grows with U, and is 1
-    when all is soiled. U is an int64 where the total units are below 2^63
-    and the exponent at most 1022, so that no S is subnormal; else a Python
-    int, joined from int64 sums of the units' 31-bit limbs."""
+    when all is soiled. U is a float64 product of the 0/1 rows with the
+    units' limbs, exact in any order. S is taken from it in float64 where
+    two limbs hold each unit and no S is subnormal, else from ``share``."""
 
     def __init__(self, g: Graph, mode: str):
+        if not g.n_nodes:
+            raise GraphError("the graph has no nodes")
         self.total = total_weight(g, mode)  # rejects an unknown mode, and the edge measure without edges
-        units, self.exponent = g._units[mode]
-        narrow = sum(units) < 1 << 63 and self.exponent <= 1022
-        self.units = np.array(units, dtype=np.int64 if narrow else object)
-        # Column j: bits 31j .. 31j + 30 of each unit; a column sums in int64
-        # below 2^63 for any graph of under 2^32 nodes.
-        width = 0 if narrow else -(-max(units).bit_length() // 31)
-        self._limbs = np.array([[u >> 31 * j & (1 << 31) - 1 for j in range(width)] for u in units], dtype=np.int64)
+        self.units, self.exponent = g._units[mode]
+        # Column j: bits bj .. bj + b - 1 of each unit. A column sums N limbs
+        # below 2^b, so below 2^53, exactly; b is 31 under 2^22 nodes.
+        b = self.bits = min(31, 53 - g.n_nodes.bit_length())
+        width = -(-max(self.units).bit_length() // b)
+        self._limbs = np.array([[u >> b * j & (1 << b) - 1 for j in range(width)] for u in self.units], dtype=np.float64)
+        self._radix = 2.0 ** (b * np.arange(width)) if width <= 2 and self.exponent <= 1022 else None
 
-    def weigh(self, covered: np.ndarray) -> np.ndarray:
+    def weigh(self, covered: np.ndarray) -> list[int]:
         """U of each row of the 0/1 array ``covered`` (column u: node u soiled)."""
-        if self.units.dtype != object:
-            return covered @ self.units
-        sums = (covered @ self._limbs).tolist()
-        return np.array([sum(s << 31 * j for j, s in enumerate(row)) for row in sums], dtype=object)
+        *lower, weights = (covered @ self._limbs).astype(np.int64).T.tolist()
+        for limb in reversed(lower):
+            weights = [(u << self.bits) + s for u, s in zip(weights, limb)]
+        return weights
 
     def soiled(self, covered: np.ndarray) -> np.ndarray:
         """S of each row of the 0/1 array ``covered``."""
-        return self.share(self.weigh(covered))
+        if self._radix is None:
+            return np.array(self.share(self.weigh(covered)))
+        # The high limb's sum times 2^b is exact: adding the low one's rounds U once.
+        return np.ldexp(covered @ self._limbs @ self._radix, -self.exponent) / self.total
 
-    def share(self, weight: np.ndarray) -> np.ndarray:
-        """S of each soiled weight U of the array ``weight``, in units."""
-        if self.units.dtype == object:
-            # Python's int division is correctly rounded, subnormals included.
-            scale = 1 << self.exponent
-            return np.array([u / scale for u in weight.tolist()], dtype=np.float64) / self.total
-        # U < 2^63 rounds once to float64; scaling by 2^-exponent is then exact.
-        return np.ldexp(weight.astype(np.float64), -self.exponent) / self.total
+    def share(self, weights: list[int]) -> list[float]:
+        """S of each soiled weight U of ``weights``, in units, by Python's int
+        division: correctly rounded, subnormals included."""
+        return [u / (1 << self.exponent) / self.total for u in weights]
 
 
 def soiled_measure(g: Graph, report: SoiledReport, mode: str = "node") -> float:

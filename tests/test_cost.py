@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from critset.cost import (
 )
 from critset.graphs import MEASURE_MODES, Graph, _bits, _mask_of
 from critset.optimize import _size_bounds
-from critset.taint import propagate, soil
+from critset.taint import _Measure, propagate, soil
 
 from .strategies import cost_specs, graphs, graphs_and_nested_seeds, graphs_and_seeds, wide_graphs
 
@@ -313,18 +314,23 @@ def _soiled_by_every_path(g, mode, mask):
     return {s.hex(), soil(g, ev.seeds_of(mask), mode)[1].hex()}
 
 
-@given(st.sampled_from(MEASURE_MODES), st.booleans(), graphs_and_seeds())
+@given(st.sampled_from(MEASURE_MODES), st.booleans(), st.integers(0, 20), graphs_and_seeds())
 @settings(max_examples=300, deadline=None)
-def test_every_scoring_path_gives_s_as_fsum_over_fsum(mode, tiny, case):
+def test_every_scoring_path_gives_s_as_fsum_over_fsum(mode, tiny, wide, case):
     # The weights are not dyadic, so sums in float64 round and their order
     # shows; S is the correctly rounded soiled sum over the correctly
     # rounded total, bit for bit, by every path, and exactly 1 where every
     # node is soiled. Scaled by 2^-1000, a weight with over 22 fraction
-    # bits needs units of 2^-K with K > 1022, so U is a Python int.
+    # bits needs units of 2^-K with K > 1022, so S comes from U as a Python
+    # int. The first node's and first edge's weights, times 2^wide, take
+    # their units past 62 bits from wide = 10 or so: past two limbs.
     g, seeds = case
     assume(mode == "node" or g.n_edges)
-    if tiny:
-        g = Graph([(v, g.node_weight(v) * 2.0**-1000) for v in g.node_ids], [(s, t, w * 2.0**-1000) for s, t, w in g.edges])
+    scale = 2.0**-1000 if tiny else 1.0
+    g = Graph(
+        [(v, g.node_weight(v) * scale * (2.0**wide if i == 0 else 1.0)) for i, v in enumerate(g.node_ids)],
+        [(s, t, w * scale * (2.0**wide if i == 0 else 1.0)) for i, (s, t, w) in enumerate(g.edges)],
+    )
     mask = _mask_of(g, seeds)
     assert _soiled_by_every_path(g, mode, mask) == {_fsum_s(g, seeds, mode).hex()}
     assert _soiled_by_every_path(g, mode, (1 << g.n_nodes) - 1) == {"0x1.0000000000000p+0"}
@@ -434,32 +440,48 @@ def test_flip_scoring_equals_evaluate_mask_past_64_nodes(dyadic, data):
 
 
 @pytest.mark.parametrize(
-    "weights, narrow",
+    "weights, floats",
     [
-        ([2.0**63 - 2.0**11, 2047.0], True),  # 2^63 - 1 units of 1
+        ([2.0**63 - 2.0**11, 2047.0], False),  # a 63-bit unit; 2^63 - 1 units of 1 in all
         ([2.0**63 - 2.0**11, 2048.0], False),  # 2^63 units of 1
         ([2.0**-1022, 3 * 2.0**-1022], True),  # K = 1022
         ([2.0**-1023, 3 * 2.0**-1023], False),  # K = 1023: a subnormal weight
         ([1e-300, 1e300, 0.1], False),
         ([0.1, 0.2, 0.3], True),
+        ([2.0**62 - 2.0**10, 1.0], True),  # a 62-bit unit
+        ([2.0**62, 1.0], False),  # a 63-bit unit
+        ([2.0**62 - 2.0**10] * 3, True),  # 62-bit units, past 2^63 in all
     ],
 )
-def test_soiled_sums_are_int64_only_where_exact_and_normal(weights, narrow):
-    # Soiled weights sum in int64 where the total units are below 2^63 and
-    # K <= 1022, else in Python ints joined from int64 limb sums; either way
-    # every scoring path gives fsum over fsum, and the per-size bound of k
-    # seeds is the value of the k heaviest, which soil only themselves.
+def test_s_is_taken_from_float_limb_sums_only_where_two_limbs_hold_each_unit(weights, floats):
+    # Soiled weights sum as float64 limb sums, exactly. S is taken from them
+    # in float64 where two 31-bit limbs hold each unit and K <= 1022, else
+    # from U as a Python int; either way every scoring path gives fsum over
+    # fsum, and the per-size bound of k seeds is the value of the k
+    # heaviest, which soil only themselves.
     nodes = [f"v{i}" for i in range(len(weights))]
     g = Graph(list(zip(nodes, weights)), [(v, v, w) for v, w in zip(nodes, weights)])
     for mode in MEASURE_MODES:
         ev = SubsetEvaluator(g, CostSpec(mode=mode))
-        assert (ev._measure.units.dtype == np.int64) is narrow
+        assert (ev._measure._radix is not None) is floats
         for mask in range(1, 1 << g.n_nodes):
             assert _soiled_by_every_path(g, mode, mask) == {_fsum_s(g, ev.seeds_of(mask), mode).hex()}
         heaviest = sorted(range(g.n_nodes), key=weights.__getitem__, reverse=True)
         bounds = _size_bounds(ev)
         for k in range(1, g.n_nodes + 1):
             assert bounds[k].hex() == ev.evaluate_mask(sum(1 << v for v in heaviest[:k])).value.hex()
+
+
+@pytest.mark.parametrize("n_nodes, bits", [(1, 31), (2**22 - 1, 31), (2**22, 30), (2**30, 22)])
+def test_limbs_narrow_from_2_to_the_22_nodes(n_nodes, bits):
+    # A limb column sums up to N limbs below 2^bits, exact in float64 while
+    # below 2^53. From 2^22 nodes limbs are 30 bits or less, so a 62-bit unit
+    # takes three and S comes from U as a Python int. Only the node count of
+    # this stand-in graph is that large; its units are two.
+    g = SimpleNamespace(n_nodes=n_nodes, _units={"node": ([2**62 - 1, 1], 0)}, _totals={"node": 2.0**62})
+    measure = _Measure(g, "node")
+    assert measure.bits == bits and n_nodes * (2**bits - 1) < 2**53
+    assert (measure._radix is not None) is (bits == 31)
 
 
 def _scoring_routes(g, spec, mask):

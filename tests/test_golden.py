@@ -13,7 +13,10 @@ graphs come from ``critset gen-log`` and ``critset ingest``:
   nodes, weak components of 16 and 2);
 - exhaustive-gated.graph: ``--nodes 18 --transactions 12 --rng-seed 1``
   (16 nodes in weak components of 9, 3, 2 and 2), the benchmark's
-  exhaustive-gated graph.
+  exhaustive-gated graph;
+- wide-units.graph: written by hand (8 nodes, edges of weight 100.5 and
+  0.1), so that under the edge measure a node's units reach 62 bits and
+  their total passes 2^63.
 
 Every case sums its soiled weights exactly, as integer counts of one
 unit, and rounds S once. The sa-200 edge weights, 0.0025 and 0.005, and
@@ -38,6 +41,12 @@ per-size bound proves the best greedy prefix optimal, so no search walks.
 Under a penalty or a negative alpha it does not apply, so the
 ``gated-73`` cases and ``sa-200-walk`` (sa-200-walk.cost: the edge
 measure, alpha = -0.25) pin the walks.
+
+``wide-units`` (exhaustive search) and ``wide-units-sa`` run under
+wide-units.cost, the same edge measure and alpha. Their reports were
+written when a total of 2^63 units or more sent every soiled sum through
+Python ints; S now comes from two 31-bit limbs in float64, so they pin
+that both paths give the same report.
 """
 from pathlib import Path
 
@@ -59,6 +68,8 @@ CASES = {
     "sa-200-ga": ("sa-200.graph", ["--optimizer", "ga"]),
     "sa-200-ga-edge": ("sa-200.graph", ["--optimizer", "ga", "--measure", "edge"]),
     "gated-73-ga": ("gated-73.graph", ["--optimizer", "ga", *GATED, "fuzzy-small:8:0.25"]),
+    "wide-units": ("wide-units.graph", ["--optimizer", "exhaustive", "--cost", str(GOLDEN / "wide-units.cost")]),
+    "wide-units-sa": ("wide-units.graph", ["--optimizer", "sa", "--cost", str(GOLDEN / "wide-units.cost")]),
 }
 
 

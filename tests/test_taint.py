@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critset.graphs import Graph
-from critset.taint import propagate, seed_set, soil, soiled_measure
+from critset.graphs import Graph, GraphError
+from critset.taint import SoiledReport, propagate, seed_set, soil, soiled_measure
 
 from .strategies import graphs_and_nested_seeds, graphs_and_seeds
 
@@ -184,3 +184,10 @@ def test_edge_mode_requires_edges():
     report = propagate(g, {"a"})
     with pytest.raises(ValueError):
         soiled_measure(g, report, mode="edge")
+
+
+@pytest.mark.parametrize("mode", ["node", "edge"])
+def test_soiled_measure_on_a_graph_without_nodes_is_a_graph_error(mode):
+    empty = SoiledReport(frozenset(), frozenset(), frozenset())
+    with pytest.raises(GraphError, match="the graph has no nodes"):
+        soiled_measure(Graph([]), empty, mode)
