@@ -44,9 +44,9 @@ class MaskPredicate:
     node ``graph.node_ids[i]`` is a seed, and whose size is n. It is
     ``by_size[n]`` where the mask lies inside one mask of ``within``, holds
     every node of ``required`` and none of ``forbidden``, and 0 elsewhere.
-    It takes Python ints, or numpy int64 arrays of masks and sizes (graphs
-    of at most 63 nodes) to score many subsets at once. A degree outside
-    [0, 1] is rejected when it is built."""
+    It takes Python ints, or numpy arrays of masks (int64, or Python ints
+    as objects, which it takes one by one) and sizes to score many subsets
+    at once. A degree outside [0, 1] is rejected when it is built."""
 
     by_size: tuple[float, ...]
     within: tuple[int, ...]

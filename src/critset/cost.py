@@ -192,23 +192,21 @@ def gated_cost(
 class SubsetEvaluator:
     """Scores seed subsets of one graph under one CostSpec.
 
-    Subsets are encoded as bit masks over ``graph.node_ids`` (bit i is
-    node i), which keeps the optimizers' inner loops cheap. The graph's SCC
-    pass, run once per graph, gives each node's reach mask and the source
-    SCC representatives that the greedy order runs over; ``evaluate_mask``
-    takes a mask's closure from it as ``propagate`` does (``_reach_of``).
-    It keeps no scores: a search that meets a subset again looks it up in
-    its own table. ``evaluate`` accepts node-id iterables and matches
-    propagate + gated_cost done by hand; ``evaluate_mask`` scores one mask
-    into a ``Score``. ``flip_values`` scores one-node changes of several
-    subsets from the per-node coverage counts their caller keeps current.
-    Both take S from ``taint._Measure``, the soiled measure ``soil()``
-    uses, and value it through one scalar tail, ``_value`` (size tables,
-    gates, penalties, finiteness). ``evaluate_block`` values many subsets
-    from the closures that ``subset_closures`` enumerates, with the same
-    S, through that tail over arrays. Constraints are compiled once into
-    mask predicates for all of these, and the gates, composed by min, into
-    one (``_gate``), whose degree a subset must reach ``_tau``.
+    Subsets are bit masks over ``graph.node_ids`` (bit i is node i). The
+    graph's SCC pass gives each node's reach and the source SCC
+    representatives that the greedy order runs over. It keeps no scores: a
+    search looks a subset it meets again up in its own table. ``evaluate``
+    takes node ids and matches propagate + gated_cost done by hand;
+    ``evaluate_mask`` scores one mask, whose closure it takes as
+    ``propagate`` does (``_reach_of``), into a ``Score``; ``evaluate_block``
+    values any batch of subsets from their bool coverage rows;
+    ``flip_values`` values the one-node changes of annealing's walk from the
+    per-node coverage counts it keeps current. All take S from
+    ``taint._Measure``, as ``soil()`` does, and value it through one tail,
+    ``_value`` (size tables, gates, penalties, finiteness), which
+    ``evaluate_block`` runs over arrays. Constraints are compiled once into
+    mask predicates, and the gates, composed by min, into one (``_gate``),
+    whose degree a subset must reach ``_tau``.
     """
 
     def __init__(self, graph: Graph, spec: CostSpec):
@@ -294,29 +292,28 @@ class SubsetEvaluator:
         return value, mu
 
     def subset_closures(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Closures and sizes of all subsets of nodes ``first`` .. ``first + count - 1``.
+        """Coverage rows and sizes of all subsets of nodes ``first`` .. ``first + count - 1``.
 
-        Entry j of each int64 array is for the subset ``j << first``; both
-        are built by doubling, entry j + 2^t extending entry j by node
-        ``first + t``.
+        Row j of the bool array, and entry j of the int64 sizes, are for the
+        subset ``j << first``; both are built by doubling, entry j + 2^t
+        extending entry j by node ``first + t``.
         """
-        closures = np.zeros(1 << count, dtype=np.int64)
+        covered = np.zeros((1 << count, self._n_total), dtype=bool)
         sizes = np.zeros(1 << count, dtype=np.int64)
         for t in range(count):
             half = 1 << t
-            closures[half : 2 * half] = closures[:half] | self._reach[first + t]
+            covered[half : 2 * half] = covered[:half] | self._reach_rows[first + t]
             sizes[half : 2 * half] = sizes[:half] + 1
-        return closures, sizes
+        return covered, sizes
 
-    def evaluate_block(self, masks: np.ndarray, closures: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """The value of each nonempty subset given as int64 arrays of masks,
-        their closures and sizes, NaN where a gate rules it out; bit for bit
-        those of ``evaluate_mask``. Raises ``ValueError`` as ``gated_cost``
-        does for a non-finite defined score.
-        """
-        # Row j, column u: bit u of closure j, as _rows unpacks masks.
-        packed = closures.astype("<i8").view(np.uint8).reshape(-1, 8)
-        s = self._measure.soiled(np.unpackbits(packed, axis=1, count=self._n_total, bitorder="little"))
+    def evaluate_block(self, masks, covered: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """The value of each nonempty subset of ``masks`` (an int64 array, or a
+        list of ints: Python ints past 63 nodes) from its bool coverage row of
+        ``covered`` (column u: node u soiled) and its size, NaN where gated out;
+        bit for bit ``evaluate_mask``'s. Raises ``ValueError`` as ``gated_cost``
+        does for a non-finite defined score."""
+        s = self._measure.soiled(covered)
+        masks = np.asarray(masks, dtype=object if self._n_total > 63 else np.int64)
         # _value over arrays.
         defined = True if self._gate is None else self._gate(masks, sizes) >= self._tau
         alpha, size_term = map(np.array, self._size_tables)

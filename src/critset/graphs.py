@@ -45,6 +45,13 @@ def _not_a_string(values, name: str, error=GraphError):
     return values
 
 
+def _check_token(value, what: str, error=GraphError) -> str:
+    """``value``, refused with ``error`` unless a non-empty string without whitespace."""
+    if not isinstance(value, str) or value.split() != [value]:
+        raise error(f"{what} must be a non-empty token without whitespace, got {value!r}")
+    return value
+
+
 def _check_weight(value, what: str) -> float:
     try:
         w = float(value)
@@ -105,9 +112,7 @@ class Graph:
                 node_id, w = (spec, 1.0) if isinstance(spec, str) else spec
             except (TypeError, ValueError):
                 raise GraphError(f"malformed node spec {spec!r}: expected an id or (id, weight)") from None
-            if not isinstance(node_id, str) or not node_id or node_id.split() != [node_id]:
-                raise GraphError(f"node id must be a non-empty token without whitespace, got {node_id!r}")
-            if node_id in node_w:
+            if _check_token(node_id, "node id") in node_w:
                 raise GraphError(f"duplicate node id {node_id!r}")
             what = f"node {node_id!r}"
             w = node_w[node_id] = _check_weight(w, what)

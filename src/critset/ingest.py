@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _check_token
 
 _HEADER_FIELDS = ("src", "dst", "count")
 
@@ -32,12 +32,10 @@ class TransactionRecord:
     count: int = 1
 
     def __post_init__(self):
-        for endpoint in (self.source, self.target):
-            # The ids become node ids of the graph, which are whitespace-free tokens.
-            if not endpoint or endpoint.split() != [endpoint]:
-                raise LogFormatError(f"element id must be a non-empty token without whitespace, got {endpoint!r}")
-        if self.count < 1:
-            raise LogFormatError(f"transaction count must be >= 1, got {self.count}")
+        for endpoint in (self.source, self.target):  # they become node ids
+            _check_token(endpoint, "element id", LogFormatError)
+        if type(self.count) is not int or self.count < 1:
+            raise LogFormatError(f"transaction count must be an int >= 1, got {self.count!r}")
 
 
 def build_from_log(records: Sequence[TransactionRecord]) -> Graph:

@@ -1,33 +1,33 @@
 """Maximize a cost spec over nonempty seed subsets.
 
 Three searchers score subsets through a ``SubsetEvaluator``, which keeps
-no scores: exhaustive enumeration (exact, capped at 22 nodes), which
-values all 2^N - 1 subsets in numpy blocks from closures built by
-doubling; simulated annealing; and a genetic algorithm. Each keeps one
-table of mask -> value (None where gated out), and ``_contenders`` is
-the one cut of a table to the subsets that can still rank. Before the
-two heuristics walk, they score the prefixes of a greedy max-coverage
-order over the source SCCs (``_greedy_prefixes``), which join the pool
-they rank. Where the walk cannot score every subset, and the cost has no
-penalty and alpha(n) >= 0, an exact upper bound on the score of each
-subset size (``_size_bounds``), with S as every score takes it, may
-prove the best prefix optimal; the search then ranks it with its
-one-node flips and does not walk. The walks start from random subsets,
-or from the gates' composed predicate where those fail, so they report
-no feasible subset only where none exists. They go over int masks; their
-table is both their cache and, with the prefixes, the pool they rank,
-and they stop once it holds every nonempty subset. Annealing's restarts
-walk in lockstep over it: each step values the flips missing from it in
-one numpy pass over the per-node coverage counts each restart keeps
-current, with the measure and tail ``evaluate_mask`` uses. Where its
-schedule cannot fill the table, annealing cuts it to its contenders once
-it holds more than ``TABLE_KEEP``, so its memory is bounded; exhaustive
-search cuts its table after every block. ``_result`` builds ``Score``s
-only for the contenders of the table it ranks. The two randomized
-searchers are heuristics; the test suite verifies them against the
-exhaustive result instead of assuming global optimality. All are
-deterministic for a fixed rng seed; annealing restarts draw independent
-streams derived from (seed, restart index).
+no scores: exhaustive enumeration (exact, capped at 22 nodes), simulated
+annealing and a genetic algorithm. Each keeps one table of mask -> value
+(None where gated out); ``_contenders`` cuts a table to the subsets that
+can still rank. ``evaluate_block`` values every batch of known subsets
+from bool coverage rows, in blocks of at most one exhaustive block's
+cells (``_block_values``): exhaustive search's blocks, built by
+doubling; the prefixes of a greedy max-coverage order over the source
+SCCs (``_greedy_prefixes``), which the heuristics score first and rank
+with their pool; a proven prefix's one-node flips; each generation's new
+individuals. Where the walk cannot score every subset, and the cost has
+no penalty and alpha(n) >= 0, an exact upper bound per subset size
+(``_size_bounds``), with S as every score takes it, may prove the best
+prefix optimal; the search then ranks it with its flips and does not
+walk. The walks start from random subsets, or from the gates' composed
+predicate where those fail, so they report no feasible subset only where
+none exists. Their table of int masks is both their cache and, with the
+prefixes, the pool they rank; they stop once it holds every nonempty
+subset. Annealing's restarts walk in lockstep: each step values the
+flips missing from the table through ``flip_values``, from the per-node
+coverage counts each restart keeps current. Where its schedule cannot
+fill the table, annealing cuts it to its contenders once it holds more
+than ``TABLE_KEEP``, so its memory is bounded; exhaustive search cuts
+its table after every block. ``_result`` builds ``Score``s only for the
+contenders. The randomized searchers are heuristics; the tests check
+them against exhaustive search. All are deterministic for a fixed rng
+seed; annealing restarts draw independent streams derived from (seed,
+restart index).
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from itertools import accumulate
 import numpy as np
 
 from .cost import CostSpec, Score, SubsetEvaluator
-from .graphs import Graph, _bits, _masks, _rows
+from .graphs import Graph, _bits, _masks, _reach_of, _rows
 
 EXHAUSTIVE_NODE_CAP = 22
 # Subsets exhaustive search scores per numpy pass; a power of two. It bounds
@@ -195,8 +195,8 @@ def exhaustive_search(
     # Mask (high << low_bits) | low has as closure the OR of those of its
     # high and low parts, and as size their sum: one table for each part.
     low_bits = min(n, EXHAUSTIVE_BLOCK_SIZE.bit_length() - 1)
-    low_closures, low_sizes = evaluator.subset_closures(0, low_bits)
-    high_closures, high_sizes = evaluator.subset_closures(low_bits, n - low_bits)
+    low_covered, low_sizes = evaluator.subset_closures(0, low_bits)
+    high_covered, high_sizes = evaluator.subset_closures(low_bits, n - low_bits)
     low_masks = np.arange(1 << low_bits, dtype=np.int64)
     # The contenders so far, and the (value, size) of the worst of them once
     # there are top_k: a mask ranked after it cannot rank. The first cut
@@ -208,7 +208,7 @@ def exhaustive_search(
         start = 1 if high == 0 else 0  # skip the empty subset
         masks = low_masks[start:] | (high << low_bits)
         sizes = low_sizes[start:] + high_sizes[high]
-        values = evaluator.evaluate_block(masks, low_closures[start:] | high_closures[high], sizes)
+        values = evaluator.evaluate_block(masks, low_covered[start:] | high_covered[high], sizes)
         keep = _at_or_above(values, sizes, cut)
         table.update(zip(masks[keep].tolist(), values[keep].tolist()))
         if len(table) >= top_k:
@@ -266,7 +266,7 @@ def _greedy_prefixes(evaluator) -> dict[int, float | None]:
     # In id order, so index() finds the first.
     left = sorted(range(len(sources)), key=lambda i: evaluator.graph.node_ids[sources[i]])
     mask = 0
-    prefixes: dict[int, float | None] = {}
+    covered = {}  # each prefix's coverage row
     while left:
         gains = evaluator._measure.weigh(rows[left] & unsoiled)
         gain = max(gains)
@@ -275,10 +275,21 @@ def _greedy_prefixes(evaluator) -> dict[int, float | None]:
         pick = left[gains.index(gain)]
         unsoiled &= ~rows[pick]
         mask |= 1 << sources[pick]
-        prefixes[mask] = evaluator.evaluate_mask(mask).value
+        covered[mask] = ~unsoiled
         # A gain never grows as more is soiled.
         left = [i for i, g in zip(left, gains) if g and i != pick]
-    return prefixes
+    return _block_values(evaluator, list(covered), lambda block: np.array([covered[m] for m in block]))
+
+
+def _block_values(evaluator, masks, covered) -> dict[int, float | None]:
+    """mask -> value (None where gated out) of ``masks`` by ``evaluate_block``, in blocks
+    of at most one exhaustive block's cells, from their coverage rows ``covered(block)``."""
+    step = max(1, EXHAUSTIVE_BLOCK_SIZE * EXHAUSTIVE_NODE_CAP // evaluator._n_total)
+    values = []
+    for i in range(0, len(masks), step):
+        block = masks[i : i + step]
+        values += evaluator.evaluate_block(block, covered(block), np.array([m.bit_count() for m in block])).tolist()
+    return {m: None if math.isnan(v) else v for m, v in zip(masks, values)}
 
 
 def _size_bounds(evaluator) -> list[float] | None:
@@ -333,19 +344,18 @@ def _proven_best(evaluator, prefixes) -> int | None:
 
 def _proven_result(evaluator, prefixes, best, rng_seed, optimizer, top_k) -> SearchResult:
     """Rank the proven ``best`` among the greedy ``prefixes`` and its one-node
-    flips, which one ``flip_values`` call scores; each counts as an
-    evaluation."""
-    n = evaluator._n_total
-    flips, moves = [], []
-    for v in range(n):
-        flip = best ^ (1 << v)
-        if flip:
-            flips.append(flip)
-            moves.append(v if flip > best else n + v)
-    counts = evaluator._reach_steps[list(_bits(best))].sum(axis=0, keepdims=True, dtype=np.int32)
-    values = evaluator.flip_values(counts, [0] * len(flips), flips, moves)
-    table = {**prefixes, **dict(zip(flips, values))}
-    return _result(evaluator, table, len(prefixes) + len(flips), rng_seed, optimizer, top_k)
+    flips, scored in blocks from best's per-node coverage counts; each
+    counts as an evaluation."""
+    reach = evaluator._reach_rows
+    counts = reach[list(_bits(best))].sum(axis=0, dtype=np.int32)
+
+    def covered(flips):
+        rows = reach[[(m ^ best).bit_length() - 1 for m in flips]]
+        # A flip below best removes a seed: what that seed alone covers is lost.
+        return np.where(np.array([m < best for m in flips])[:, None], counts > rows, (counts > 0) | rows)
+
+    flips = _block_values(evaluator, [best ^ 1 << v for v in range(evaluator._n_total) if best != 1 << v], covered)
+    return _result(evaluator, {**prefixes, **flips}, len(prefixes) + len(flips), rng_seed, optimizer, top_k)
 
 
 def anneal(
@@ -507,10 +517,11 @@ def evolve(
     defined one. If the whole first population is undefined, individual 0
     is replaced by a feasible start as annealing finds one. Empty rows are
     repaired by setting one random bit (``_nonempty``). Individuals
-    already in the table of scored subsets are looked up, not rescored,
-    but ``evaluations`` counts every one assessed; the ranking is over
-    the whole table and the prefixes. The search stops early once its
-    table holds every nonempty subset, when its ranking is exact.
+    already in the table of scored subsets are looked up; a generation's
+    others are scored together from their closures (``_block_values``).
+    ``evaluations`` counts every one assessed; the ranking is over the
+    whole table and the prefixes. The search stops early once its table
+    holds every nonempty subset, when its ranking is exact.
     """
     _check_top_k(top_k)
     n = g.n_nodes
@@ -534,9 +545,8 @@ def evolve(
     def assess(pop):
         nonlocal evaluations
         evaluations += len(pop)
-        for mask in pop:
-            if mask not in table:
-                table[mask] = evaluator.evaluate_mask(mask).value
+        new = [m for m in dict.fromkeys(pop) if m not in table]
+        table.update(_block_values(evaluator, new, lambda block: _rows([_reach_of(g, m) for m in block], n)))
         return np.array([-math.inf if table[mask] is None else table[mask] for mask in pop])
 
     fitness = assess(population)

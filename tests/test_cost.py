@@ -21,7 +21,7 @@ from critset.cost import (
     over_n,
     parse_cost_config,
 )
-from critset.graphs import MEASURE_MODES, Graph, _bits, _mask_of
+from critset.graphs import MEASURE_MODES, Graph, _bits, _mask_of, _reach_of, _rows
 from critset.optimize import _size_bounds
 from critset.taint import _Measure, propagate, soil
 
@@ -486,10 +486,11 @@ def test_limbs_narrow_from_2_to_the_22_nodes(n_nodes, bits):
 
 def _scoring_routes(g, spec, mask):
     # The same mask scored by the scalar tail (through evaluate_mask and
-    # through flip_values) and by the batched tail (through evaluate_block).
+    # through flip_values) and by the batched tail (through evaluate_block,
+    # from the mask as a list of ints and its bool coverage row).
     ev = SubsetEvaluator(g, spec)
     n = g.n_nodes
-    closures, sizes = ev.subset_closures(0, n)
+    covered = _rows([_reach_of(g, mask)], n)
     return (
         lambda: ev.evaluate_mask(mask),
         # From the counts of mask ^ 1, the move that adds or removes node 0.
@@ -499,7 +500,7 @@ def _scoring_routes(g, spec, mask):
             [mask],
             [0 if mask & 1 else n],
         ),
-        lambda: ev.evaluate_block(np.array([mask]), closures[[mask]], sizes[[mask]]),
+        lambda: ev.evaluate_block([mask], covered, np.array([mask.bit_count()])),
     )
 
 
@@ -562,13 +563,31 @@ def test_batched_tail_rejects_a_gate_degree_outside_0_1(demo, degree, monkeypatc
 @given(graphs(max_nodes=6), st.data())
 @settings(max_examples=100, deadline=None)
 def test_block_values_equal_evaluate_mask(g, data):
-    # Every nonempty subset in one block: its value bit for bit, NaN where
-    # a gate rules it out.
+    # Every nonempty subset in one block, as an int64 array of masks with
+    # the coverage rows that subset_closures builds by doubling: its value
+    # bit for bit, NaN where a gate rules it out.
     ev = SubsetEvaluator(g, data.draw(cost_specs(g)))
-    closures, sizes = ev.subset_closures(0, g.n_nodes)
+    covered, sizes = ev.subset_closures(0, g.n_nodes)
     masks = np.arange(1 << g.n_nodes)
-    values = ev.evaluate_block(masks[1:], closures[1:], sizes[1:])
+    values = ev.evaluate_block(masks[1:], covered[1:], sizes[1:])
     expected = [ev.evaluate_mask(m).value for m in range(1, 1 << g.n_nodes)]
+    assert [None if math.isnan(v) else v.hex() for v in values.tolist()] == [None if v is None else v.hex() for v in expected]
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_block_values_equal_evaluate_mask_past_63_nodes(dyadic, data):
+    # Masks no longer fit in an int64: evaluate_block takes them as a list
+    # of ints, and the compiled gates and penalties score them one by one.
+    # Subsets of one to three nodes pass a same-component gate more often.
+    g = data.draw(wide_graphs(dyadic=dyadic))
+    spec = data.draw(cost_specs(g).filter(lambda spec: spec.gates and spec.penalties))
+    ev = SubsetEvaluator(g, spec)
+    few = st.sets(st.integers(0, g.n_nodes - 1), min_size=1, max_size=3).map(lambda vs: sum(1 << v for v in vs))
+    masks = data.draw(st.lists(st.integers(1, (1 << g.n_nodes) - 1) | few, min_size=1, max_size=20))
+    covered = _rows([_reach_of(g, m) for m in masks], g.n_nodes)
+    values = ev.evaluate_block(masks, covered, np.array([m.bit_count() for m in masks]))
+    expected = [ev.evaluate_mask(m).value for m in masks]
     assert [None if math.isnan(v) else v.hex() for v in values.tolist()] == [None if v is None else v.hex() for v in expected]
 
 

@@ -14,6 +14,8 @@ graphs come from ``critset gen-log`` and ``critset ingest``:
 - exhaustive-gated.graph: ``--nodes 18 --transactions 12 --rng-seed 1``
   (16 nodes in weak components of 9, 3, 2 and 2), the benchmark's
   exhaustive-gated graph;
+- proof-1000.graph: ``--nodes 1000 --transactions 2000 --rng-seed 1``
+  (985 nodes);
 - wide-units.graph: written by hand (8 nodes, edges of weight 100.5 and
   0.1), so that under the edge measure a node's units reach 62 bits and
   their total passes 2^63.
@@ -38,7 +40,9 @@ keeping stdout; for ``gated-73-ga``::
 
 On ``sa-200``, ``sa-200-ga``, ``sa-200-edge`` and ``sa-200-ga-edge`` the
 per-size bound proves the best greedy prefix optimal, so no search walks.
-Under a penalty or a negative alpha it does not apply, so the
+So does it on ``proof-1000`` and ``proof-1000-edge`` (the edge measure,
+beta = 2/n), whose 985 one-node flips of the proven best are scored in
+several blocks. Under a penalty or a negative alpha it does not apply, so the
 ``gated-73`` cases and ``sa-200-walk`` (sa-200-walk.cost: the edge
 measure, alpha = -0.25) pin the walks.
 
@@ -70,6 +74,8 @@ CASES = {
     "gated-73-ga": ("gated-73.graph", ["--optimizer", "ga", *GATED, "fuzzy-small:8:0.25"]),
     "wide-units": ("wide-units.graph", ["--optimizer", "exhaustive", "--cost", str(GOLDEN / "wide-units.cost")]),
     "wide-units-sa": ("wide-units.graph", ["--optimizer", "sa", "--cost", str(GOLDEN / "wide-units.cost")]),
+    "proof-1000": ("proof-1000.graph", []),
+    "proof-1000-edge": ("proof-1000.graph", ["--measure", "edge", "--beta-over-n", "2"]),
 }
 
 

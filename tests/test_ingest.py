@@ -59,6 +59,21 @@ def test_record_validation():
         TransactionRecord("a", "b", 0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, "b"), "element id must be a non-empty token"),
+        (("a", "b", "2"), "transaction count must be an int >= 1"),
+        (("a", "b", 1.5), "transaction count must be an int >= 1"),
+        (("a", "b", True), "transaction count must be an int >= 1"),
+    ],
+)
+def test_record_refuses_a_non_string_id_and_a_count_that_is_not_an_int(args, message):
+    # Each once raised AttributeError or TypeError, or was accepted.
+    with pytest.raises(LogFormatError, match=f"^{message}"):
+        TransactionRecord(*args)
+
+
 @given(records_strategy)
 @settings(max_examples=300)
 def test_weights_sum_to_one(records):

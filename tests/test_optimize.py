@@ -5,13 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from critset import optimize
 from critset.constraints import same_component
 from critset.cost import CoefficientFn, CostSpec, Score, SubsetEvaluator, constant, gated_cost, over_n
-from critset.graphs import Graph, parse_graph
+from critset.graphs import MEASURE_MODES, Graph, parse_graph
 from critset.ingest import build_from_log, generate_log
 from critset.optimize import (
     AnnealingSchedule,
@@ -168,7 +168,7 @@ def test_evolve_ranks_every_subset_it_scored(data):
     top_k = data.draw(st.integers(1, 12))
     every_subset = (1 << g.n_nodes) - 1
     calls, starts, prefixes, ranked_at = [], [], [], []
-    evaluate_mask, feasible_start, greedy = SubsetEvaluator.evaluate_mask, optimize._feasible_start, optimize._greedy_prefixes
+    evaluate_block, feasible_start, greedy = SubsetEvaluator.evaluate_block, optimize._feasible_start, optimize._greedy_prefixes
 
     def run(generations):
         calls.clear(), starts.clear(), prefixes.clear(), ranked_at.clear()
@@ -176,18 +176,22 @@ def test_evolve_ranks_every_subset_it_scored(data):
             functools.partial(evolve, top_k=top_k), g, spec, dataclasses.replace(params, generations=generations), rng_seed
         )
         used = sum(u for _, _, u in starts)
-        # Before ranking, the walk has scored each mask of its table once; a
-        # feasible start scores only the start, which enters it.
-        return result, used, ranked_at[0] - len(prefixes[0]) if ranked_at else None
+        # Before ranking, the blocks have scored the prefixes and each mask
+        # of the walk's table once, but for a feasible start, which enters it.
+        return result, used, ranked_at[0] - len(prefixes[0]) + len(starts) if ranked_at else None
+
+    def counted_block(self, masks, *args):
+        calls.extend(masks)
+        return evaluate_block(self, masks, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SubsetEvaluator, "evaluate_mask", lambda self, m: calls.append(m) or evaluate_mask(self, m))
+        patch.setattr(SubsetEvaluator, "evaluate_block", counted_block)
         patch.setattr(optimize, "_feasible_start", lambda *a: starts.append(feasible_start(*a)) or starts[-1])
         patch.setattr(optimize, "_greedy_prefixes", lambda ev: prefixes.append(greedy(ev)) or prefixes[-1])
         patch.setattr(optimize, "_proven_best", lambda *a: None)
         patch.setattr(optimize, "_result", lambda *a: ranked_at.append(len(calls)) or _result(*a))
         result, used, table = run(params.generations)
-        scored, greedy_count = set(calls), len(prefixes[0])
+        scored, greedy_count = {*calls, *(m for m, _, _ in starts)}, len(prefixes[0])
         if isinstance(result, SearchResult) and table == every_subset:
             generations, rest = divmod(result.evaluations - used - greedy_count, params.population_size)
             generations -= 1
@@ -668,6 +672,52 @@ def test_a_proven_best_is_ranked_with_its_one_node_flips(search):
     assert result.best.seeds == frozenset({"hub"})
     assert result.evaluations == 1 + 64
     assert [c.sorted_seeds for c in result.ranked[1:3]] == [("hub", "leaf0"), ("hub", "leaf1")]
+
+
+@given(st.sampled_from(MEASURE_MODES), st.data())
+@settings(max_examples=200, deadline=None)
+def test_proof_flips_score_as_evaluate_mask_scores_them(mode, data):
+    # _proven_result scores each one-node flip from the best's coverage
+    # counts, in blocks of 22 // N rows here, so that several run. Any
+    # subset serves as the best: no proof is needed to rank its flips.
+    g = data.draw(graphs(min_nodes=6))
+    assume(mode == "node" or g.n_edges)
+    evaluator = SubsetEvaluator(g, dataclasses.replace(data.draw(cost_specs(g)), mode=mode))
+    best = data.draw(st.integers(1, (1 << g.n_nodes) - 1))
+    tables, blocks = [], []
+    evaluate_block = SubsetEvaluator.evaluate_block
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "EXHAUSTIVE_BLOCK_SIZE", 1)
+        patch.setattr(optimize, "_result", lambda ev, values, *a: tables.append(values))
+        patch.setattr(
+            SubsetEvaluator, "evaluate_block", lambda self, masks, *a: blocks.append(len(masks)) or evaluate_block(self, masks, *a)
+        )
+        optimize._proven_result(evaluator, {}, best, 0, "sa", 1)
+    flips = [best ^ 1 << v for v in range(g.n_nodes) if best != 1 << v]
+    assert len(blocks) > 1 and sum(blocks) == len(flips)
+    expected = {m: evaluator.evaluate_mask(m).value for m in flips}
+    assert {m: None if v is None else v.hex() for m, v in tables[0].items()} == {
+        m: None if v is None else v.hex() for m, v in expected.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "search,graph,walks",
+    [(anneal, "sa-200.graph", False), (evolve, "sa-200.graph", False), (anneal, None, True), (evolve, None, True)],
+    ids=["sa-proven", "ga-proven", "sa-walk", "ga-walk"],
+)
+def test_only_the_annealing_walk_builds_reach_steps(demo, search, graph, walks, monkeypatch):
+    # The proof scores its flips from reach rows; the lockstep walk keeps
+    # its counts current with reach-step rows. On the demo graph the
+    # tables can hold every subset, so no proof is tried and both walk.
+    g = parse_graph((GOLDEN / graph).read_text(encoding="utf-8")) if graph else demo
+    evaluators, proofs = [], []
+    result, proven_result = optimize._result, optimize._proven_result
+    monkeypatch.setattr(optimize, "_result", lambda ev, *a: evaluators.append(ev) or result(ev, *a))
+    monkeypatch.setattr(optimize, "_proven_result", lambda *a: proofs.append(a) or proven_result(*a))
+    search(g, BETA_ONE)
+    assert len(proofs) == (not walks)
+    assert ["_reach_steps" in ev.__dict__ for ev in evaluators] == [walks and search is anneal]
 
 
 @pytest.mark.parametrize(
